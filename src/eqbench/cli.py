@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys as _sys
+from dataclasses import replace
 from pathlib import Path
 
 from .axioms import (
@@ -152,7 +153,6 @@ def cmd_enumerate(args) -> int:
     ops = _parse_ops(args.ops) if args.ops else None
     opts = EnumOptions(
         up_to_iso=args.up_to_iso,
-        max_results=None,
         parallel_width=args.parallel,
         ops=ops,
         allow_large=args.allow_large,
@@ -178,14 +178,8 @@ def cmd_enumerate(args) -> int:
                 f"more than max_results={args.max_results} models exist")
         stream = iter(algebras)
     else:
-        opts = EnumOptions(
-            up_to_iso=args.up_to_iso,
-            max_results=args.max_results,
-            parallel_width=args.parallel,
-            ops=ops,
-            allow_large=args.allow_large,
-        )
-        stream = enumerate_models(sys_, args.size, opts)
+        stream = enumerate_models(sys_, args.size,
+                                  replace(opts, max_results=args.max_results))
 
     if args.count:
         print(sum(1 for _ in stream))
@@ -301,8 +295,7 @@ def _space(args) -> CandidateSpace:
 def cmd_compare(args) -> int:
     sys_a = _resolve_system(args.first)
     sys_b = _resolve_system(args.second)
-    report = compare(sys_a, sys_b, _space(args), args.model_size,
-                     workers=args.parallel)
+    report = compare(sys_a, sys_b, _space(args), args.model_size)
     if args.format == "records":
         _emit(power_record(report))
     else:
@@ -318,8 +311,7 @@ def cmd_compare(args) -> int:
 
 def cmd_rank(args) -> int:
     systems = [_resolve_system(s) for s in args.systems]
-    report = rank_all(systems, _space(args), args.model_size,
-                      workers=args.parallel)
+    report = rank_all(systems, _space(args), args.model_size)
     if args.format == "records":
         _emit(rank_record(report))
     else:
@@ -405,6 +397,16 @@ def cmd_audit(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def _add_format(p):
     p.add_argument("--format", choices=("text", "records"), default="text",
                    help="human-readable text or line-delimited JSON records")
@@ -418,14 +420,14 @@ def _add_system(p, required=True):
 
 
 def _add_budgets(p):
-    p.add_argument("--max-vars", type=int, default=2,
+    p.add_argument("--max-vars", type=int, choices=(1, 2, 3), default=2,
                    help="variables in the candidate-identity space (default 2)")
-    p.add_argument("--max-depth", type=int, default=1,
+    p.add_argument("--max-depth", type=int, choices=(0, 1, 2), default=1,
                    help="term depth in the candidate-identity space (default 1)")
-    p.add_argument("--model-size", type=int, default=2,
+    p.add_argument("--model-size", type=_positive_int, default=2,
                    help="model size bound for semantic checks (default 2)")
     p.add_argument("--parallel", type=int, default=1,
-                   help="worker count hint (default 1)")
+                   help="accepted and ignored; only enumerate uses --parallel")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -440,13 +442,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="enumerate finite models of a system")
     _add_system(p)
-    p.add_argument("--size", type=int, required=True, help="carrier size")
+    p.add_argument("--size", type=_positive_int, required=True, help="carrier size")
     p.add_argument("--ops", help="comma-separated operations to instantiate "
                                  "(default: those the system mentions)")
     p.add_argument("--count", action="store_true", help="print only the count")
     p.add_argument("--up-to-iso", action="store_true",
                    help="one representative per isomorphism class")
-    p.add_argument("--max-results", type=int, default=None)
+    p.add_argument("--max-results", type=_positive_int, default=None)
     p.add_argument("--parallel", type=int, default=1)
     p.add_argument("--allow-large", action="store_true",
                    help="permit sizes above the built-in limit")
@@ -465,15 +467,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("prove", help="derive an identity from a system")
     _add_system(p)
     p.add_argument("identity", help="candidate identity, e.g. 'ab = b/a'")
-    p.add_argument("--max-term-depth", type=int, default=3)
-    p.add_argument("--max-steps", type=int, default=8)
+    p.add_argument("--max-term-depth", type=_positive_int, default=3)
+    p.add_argument("--max-steps", type=_positive_int, default=8)
     _add_format(p)
     p.set_defaults(func=cmd_prove)
 
     p = sub.add_parser("refute", help="search for a countermodel")
     _add_system(p)
     p.add_argument("identity")
-    p.add_argument("--max-size", type=int, default=3)
+    p.add_argument("--max-size", type=_positive_int, default=3)
     p.add_argument("--allow-large", action="store_true")
     _add_format(p)
     p.set_defaults(func=cmd_refute)
@@ -501,7 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
         "audit",
         help="report whether each modulus reading makes the single-operation "
              "structures abelian groups at small sizes")
-    p.add_argument("--max-size", type=int, default=3)
+    p.add_argument("--max-size", type=_positive_int, default=3)
     _add_format(p)
     p.set_defaults(func=cmd_audit)
 

@@ -8,12 +8,21 @@ Two complementary engines:
 * ``derive`` searches for an equational derivation (reflexivity, symmetry,
   transitivity, congruence, substitution, axiom instances) within term-depth
   and step budgets, returning a replayable proof object.
+
+``consequence_set`` combines them.  Each candidate is decided by the first
+step that settles it: the countermodels already found for the system in the
+same call (the pool), then a countermodel search at sizes 1 and 2, then
+``derive`` (only when the size bound is at least 3), and last a search at
+sizes 3 up to the bound.  Every countermodel a search finds joins the pool.
+Since derivations are sound, a proved candidate holds in every model, so the
+set equals the candidates that ``semantic_consequence`` reports as
+HoldsUpTo(model_size), while a proof spares a holding candidate the
+exhaustive size-3 search.
 """
 
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, Union
 
@@ -200,9 +209,12 @@ def _cand_first_ops(sys: AxiomSystem, cand: Equation) -> tuple:
         op for op in ops if op not in cand_ops)
 
 
-def _has_countermodel(sys: AxiomSystem, cand: Equation, n: int, max_nodes: int) -> bool:
+def _has_countermodel(sys: AxiomSystem, cand: Equation, n: int,
+                      max_nodes: int) -> Optional[FiniteAlgebra]:
+    """Some model of size ``n`` violating ``cand`` (aggressively pruned, not
+    necessarily the first in enumeration order), or None."""
     search = _RefutationSearch(sys, n, _cand_first_ops(sys, cand), cand, max_nodes)
-    return next(search.countermodels(), None) is not None
+    return next(search.countermodels(), None)
 
 
 def _first_countermodel(sys: AxiomSystem, cand: Equation, n: int,
@@ -216,19 +228,23 @@ def semantic_consequence(sys: AxiomSystem, cand: Equation, max_size: int,
                          max_nodes: int = DEFAULT_SEARCH_NODES) -> Verdict:
     """Refuted with the first countermodel in enumeration order, or
     HoldsUpTo(max_size) when no model of size <= max_size violates ``cand``."""
+    _check_size(max_size, allow_large)
+    for k in range(1, max_size + 1):
+        # existence first (aggressively pruned), then the lex-least witness
+        if _has_countermodel(sys, cand, k, max_nodes) is not None:
+            alg = _first_countermodel(sys, cand, k, max_nodes)
+            witness = find_violation(alg, cand, _candidate_constants(sys, cand, alg))
+            return Refuted(alg, tuple(sorted(witness.items())))
+    return HoldsUpTo(max_size)
+
+
+def _check_size(max_size: int, allow_large: bool):
     if max_size < 1:
         raise ValueError("max_size must be >= 1")
     if max_size > DEFAULT_SIZE_LIMIT and not allow_large:
         raise ResourceLimitError(
             f"max_size {max_size} exceeds the default limit of {DEFAULT_SIZE_LIMIT}; "
             "pass allow_large to override")
-    for k in range(1, max_size + 1):
-        # existence first (aggressively pruned), then the lex-least witness
-        if _has_countermodel(sys, cand, k, max_nodes):
-            alg = _first_countermodel(sys, cand, k, max_nodes)
-            witness = find_violation(alg, cand, _candidate_constants(sys, cand, alg))
-            return Refuted(alg, tuple(sorted(witness.items())))
-    return HoldsUpTo(max_size)
 
 
 def _candidate_constants(sys: AxiomSystem, cand: Equation, alg: FiniteAlgebra) -> dict:
@@ -269,25 +285,38 @@ def candidate_identities(space: CandidateSpace) -> tuple:
 
 
 def consequence_set(sys: AxiomSystem, space: Optional[CandidateSpace] = None,
-                    model_size: int = 2, workers: int = 1,
-                    allow_large: bool = False) -> tuple:
+                    model_size: int = 2, allow_large: bool = False) -> tuple:
     """Candidates holding in every model of ``sys`` up to ``model_size``,
     i.e. the bounded proxy for the system's deductive strength."""
+    _check_size(model_size, allow_large)
     space = space or CandidateSpace()
-    cands = candidate_identities(space)
+    pool = []  # countermodels found so far, any size <= model_size
 
-    def holds(eq: Equation) -> bool:
-        return isinstance(
-            semantic_consequence(sys, eq, model_size, allow_large=allow_large),
-            HoldsUpTo,
-        )
+    def refuted_by_search(cand: Equation, sizes: range) -> bool:
+        for k in sizes:
+            alg = _has_countermodel(sys, cand, k, DEFAULT_SEARCH_NODES)
+            if alg is not None:
+                pool.append(alg)
+                return True
+        return False
 
-    if workers <= 1:
-        flags = [holds(eq) for eq in cands]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            flags = list(pool.map(holds, cands))
-    return tuple(eq for eq, ok in zip(cands, flags) if ok)
+    def holds(cand: Equation) -> bool:
+        needed = operations_of_equation(cand)
+        for alg in pool:
+            if needed <= set(alg.ops) and find_violation(
+                    alg, cand, _candidate_constants(sys, cand, alg)) is not None:
+                return False
+        if refuted_by_search(cand, range(1, min(2, model_size) + 1)):
+            return False
+        if model_size < 3:
+            return True
+        # derive runs to its budgets on identities that do not follow, so it
+        # only sees the candidates the cheap refutations above left standing
+        if isinstance(derive(sys, cand), Proved):
+            return True
+        return not refuted_by_search(cand, range(3, model_size + 1))
+
+    return tuple(eq for eq in candidate_identities(space) if holds(eq))
 
 
 # ---------------------------------------------------------------------------

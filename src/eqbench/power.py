@@ -52,12 +52,11 @@ def _budget_tuple(space: CandidateSpace, model_size: int) -> tuple:
 _set_cache: dict = {}
 
 
-def _cset(sys: AxiomSystem, space: CandidateSpace, model_size: int,
-          workers: int) -> frozenset:
+def _cset(sys: AxiomSystem, space: CandidateSpace, model_size: int) -> frozenset:
     key = (system_content_key(sys), space.max_vars, space.max_depth, model_size)
     hit = _set_cache.get(key)
     if hit is None:
-        hit = frozenset(consequence_set(sys, space, model_size, workers=workers))
+        hit = frozenset(consequence_set(sys, space, model_size))
         _set_cache[key] = hit
     return hit
 
@@ -67,13 +66,13 @@ def _least(eqs) -> Optional[Equation]:
 
 
 def compare(sys_a: AxiomSystem, sys_b: AxiomSystem,
-            space: Optional[CandidateSpace] = None, model_size: int = 2,
-            workers: int = 1) -> PowerReport:
+            space: Optional[CandidateSpace] = None,
+            model_size: int = 2) -> PowerReport:
     """Set inclusion between the two bounded consequence sets, with the
     lexicographically least witness for each strict difference."""
     space = space or CandidateSpace()
-    ca = _cset(sys_a, space, model_size, workers)
-    cb = _cset(sys_b, space, model_size, workers)
+    ca = _cset(sys_a, space, model_size)
+    cb = _cset(sys_b, space, model_size)
     only_a = ca - cb
     only_b = cb - ca
     if not only_a and not only_b:
@@ -95,13 +94,13 @@ def compare(sys_a: AxiomSystem, sys_b: AxiomSystem,
 
 
 def rank_all(systems: Sequence[AxiomSystem],
-             space: Optional[CandidateSpace] = None, model_size: int = 2,
-             workers: int = 1) -> RankReport:
+             space: Optional[CandidateSpace] = None,
+             model_size: int = 2) -> RankReport:
     """Pairwise power comparison summarized as equivalence classes plus the
     Hasse edges of the strictly-stronger order between them."""
     space = space or CandidateSpace()
     systems = list(systems)
-    sets = [_cset(s, space, model_size, workers) for s in systems]
+    sets = [_cset(s, space, model_size) for s in systems]
 
     classes = []  # (consequence set, [names]) in first-appearance order
     for s, cs in zip(systems, sets):

@@ -1,6 +1,8 @@
 import io
 import json
 
+import pytest
+
 from eqbench import cli
 from eqbench.models import make_algebra, record_line
 from eqbench.terms import Op
@@ -216,6 +218,20 @@ def test_rank_records_shape(capsys):
     rec = json.loads(out)
     assert rec["systems"] == ["C0", "C1", "C2", "C3"]
     assert rec["budgets"]["model_size"] == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("enumerate", "--system", "C0", "--size", "0"),
+    ("refute", "--system", "C0", "ab = ba", "--max-size", "0"),
+    ("prove", "--system", "C0", "ab = ba", "--max-steps", "0"),
+    ("compare", "C0", "C1", "--max-vars", "5"),
+], ids=["enumerate-size", "refute-max-size", "prove-max-steps", "compare-max-vars"])
+def test_out_of_range_numeric_option_is_config_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    assert exc.value.code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert argv[-2] in err and "Traceback" not in err
 
 
 def test_rank_parallel_byte_identical(capsys):

@@ -1,6 +1,6 @@
 import pytest
 
-from eqbench.axioms import builtin_system, empty_system, make_system
+from eqbench.axioms import BUILTIN_NAMES, builtin_system, empty_system, make_system
 from eqbench.consequence import (
     CandidateSpace,
     DeriveBudgets,
@@ -241,11 +241,24 @@ def test_consequence_sets_grow_with_axioms():
     assert len(stronger) >= len(weaker)
 
 
-def test_consequence_set_workers_deterministic():
+def test_consequence_set_deterministic():
     space = CandidateSpace(2, 1)
-    one = consequence_set(builtin_system("C2"), space, 2, workers=1)
-    four = consequence_set(builtin_system("C2"), space, 2, workers=4)
-    assert one == four
+    sys_ = builtin_system("C2")
+    assert consequence_set(sys_, space, 3) == consequence_set(sys_, space, 3)
+
+
+@pytest.mark.parametrize("name,size", (
+    [(name, 2) for name in ("none",) + BUILTIN_NAMES]
+    + [(name, 3) for name in ("C0", "Mx_as_printed", "Mx_neutral")]
+))
+def test_consequence_set_equals_semantic_filter(name, size):
+    # semantic_consequence never calls derive, so the proofs consequence_set
+    # relies on are checked against countermodel search alone
+    sys_ = empty_system() if name == "none" else builtin_system(name)
+    space = CandidateSpace(2, 1)
+    want = tuple(cand for cand in candidate_identities(space)
+                 if semantic_consequence(sys_, cand, size) == HoldsUpTo(size))
+    assert consequence_set(sys_, space, size) == want
 
 
 # ---------------------------------------------------------------------------
@@ -293,16 +306,22 @@ def _naive_semantic(sys_, cand, max_size):
 
 
 def test_semantic_consequence_agrees_with_naive_scan():
+    # consequence_set is checked against the same scan, which shares no code
+    # with derive or the pruned search
     systems = ("C0", "C1", "Mx_as_printed", "Mx_neutral", "G2")
+    space = CandidateSpace(2, 1)
     for name in systems:
         sys_ = builtin_system(name)
-        for cand in candidate_identities(CandidateSpace(2, 1)):
+        holding = []
+        for cand in candidate_identities(space):
             got = semantic_consequence(sys_, cand, 2)
             want = _naive_semantic(sys_, cand, 2)
             if want == "refuted":
                 assert isinstance(got, Refuted), (name, format_equation(cand))
             else:
                 assert got == HoldsUpTo(2), (name, format_equation(cand))
+                holding.append(cand)
+        assert consequence_set(sys_, space, 2) == tuple(holding), name
 
 
 def test_semantic_consequence_with_constants():

@@ -1,5 +1,6 @@
 import itertools
 
+from eqbench import power
 from eqbench.axioms import builtin_system, make_system, merge
 from eqbench.consequence import CandidateSpace, HoldsUpTo, Refuted, semantic_consequence
 from eqbench.power import (
@@ -117,11 +118,12 @@ def test_records_serialize_with_fixed_strings():
     assert rank["edges"] == []
 
 
-def test_rank_workers_deterministic():
-    systems = [builtin_system(n) for n in ("C1", "C2")]
-    one = rank_record(rank_all(systems, SPACE, 2, workers=1))
-    many = rank_record(rank_all(systems, SPACE, 2, workers=8))
-    assert one == many
+def test_rank_deterministic():
+    systems = [builtin_system(n) for n in ("C0", "C1", "C2", "C3")]
+    first = rank_record(rank_all(systems, SPACE, 3))
+    power._set_cache.clear()
+    second = rank_record(rank_all(systems, SPACE, 3))
+    assert first == second
 
 
 def test_strict_ordering_is_antisymmetric_nonvacuously():
