@@ -15,7 +15,7 @@ import argparse
 import json
 import os
 import sys as _sys
-from dataclasses import replace
+import tempfile
 from pathlib import Path
 
 from .axioms import (
@@ -148,38 +148,56 @@ def _cache_path(cache_dir: str, sys_: AxiomSystem, ops, n: int, up_to_iso: bool)
     return Path(cache_dir) / f"{key}.jsonl"
 
 
+def _read_cache(path: Path):
+    """The algebras cached at ``path``, or None when the file is absent or
+    holds a line that does not parse as an algebra record (a miss)."""
+    try:
+        text = path.read_text(encoding="utf-8")
+    except FileNotFoundError:
+        return None
+    try:
+        return [from_record(json.loads(line)) for line in text.splitlines() if line.strip()]
+    except ValueError:
+        return None
+
+
+def _write_cache(path: Path, algebras):
+    """Write through a temp file of this writer's own, then rename it into
+    place, so readers never see a partial file."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.stem + ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as f:
+            f.writelines(record_line(a) + "\n" for a in algebras)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def cmd_enumerate(args) -> int:
     sys_ = _resolve_merged(args.system)
     ops = _parse_ops(args.ops) if args.ops else None
     opts = EnumOptions(
         up_to_iso=args.up_to_iso,
-        parallel_width=args.parallel,
+        max_results=args.max_results,
         ops=ops,
         allow_large=args.allow_large,
     )
     cache_dir = args.cache_dir or os.environ.get(CACHE_ENV)
     if cache_dir:
         path = _cache_path(cache_dir, sys_, ops, args.size, args.up_to_iso)
-        if path.exists():
-            algebras = [
-                from_record(json.loads(line))
-                for line in path.read_text(encoding="utf-8").splitlines()
-                if line.strip()
-            ]
-        else:
+        algebras = _read_cache(path)
+        if algebras is None:
+            # raises past the cap, so only complete enumerations are cached
             algebras = list(enumerate_models(sys_, args.size, opts))
-            path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = path.with_suffix(".tmp")
-            tmp.write_text("".join(record_line(a) + "\n" for a in algebras),
-                           encoding="utf-8")
-            tmp.replace(path)
+            _write_cache(path, algebras)
         if args.max_results is not None and len(algebras) > args.max_results:
             raise ResourceLimitError(
                 f"more than max_results={args.max_results} models exist")
         stream = iter(algebras)
     else:
-        stream = enumerate_models(sys_, args.size,
-                                  replace(opts, max_results=args.max_results))
+        stream = enumerate_models(sys_, args.size, opts)
 
     if args.count:
         print(sum(1 for _ in stream))
@@ -426,8 +444,12 @@ def _add_budgets(p):
                    help="term depth in the candidate-identity space (default 1)")
     p.add_argument("--model-size", type=_positive_int, default=2,
                    help="model size bound for semantic checks (default 2)")
+    _add_parallel(p)
+
+
+def _add_parallel(p):
     p.add_argument("--parallel", type=int, default=1,
-                   help="accepted and ignored; only enumerate uses --parallel")
+                   help="accepted for compatibility; has no effect")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -449,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--up-to-iso", action="store_true",
                    help="one representative per isomorphism class")
     p.add_argument("--max-results", type=_positive_int, default=None)
-    p.add_argument("--parallel", type=int, default=1)
+    _add_parallel(p)
     p.add_argument("--allow-large", action="store_true",
                    help="permit sizes above the built-in limit")
     p.add_argument("--cache-dir", default=None,

@@ -126,77 +126,6 @@ DEFAULT_SEARCH_NODES = 5_000_000
 # ---------------------------------------------------------------------------
 # semantic consequence
 
-class _RefutationSearch(_Search):
-    """Model search that only keeps completions violating a candidate.
-
-    The candidate becomes decidable as soon as every cell it can read has
-    been assigned; because slots are filled strictly in order this happens
-    at a fixed search depth.  Branches on which the candidate provably holds
-    are cut there, which keeps the search feasible even when the raw model
-    count explodes.
-    """
-
-    def __init__(self, sys: AxiomSystem, n: int, ops: tuple, cand: Equation,
-                 max_nodes: int = DEFAULT_SEARCH_NODES):
-        super().__init__(sys, n, ops)
-        self.cand = cand
-        self.max_nodes = max_nodes
-        consts = set(self.const_names)
-        self.cand_free = [x for x in variables_of_equation(cand) if x not in consts]
-        ready = 0
-        for op in operations_of_equation(cand):
-            ready = max(ready, self._op_base[op] + self.n2)
-        for name in variables_of_equation(cand):
-            if name in consts:
-                ready = max(ready, self._const_slot[name] + 1)
-        self.cand_ready_at = ready
-
-    def _cand_violated(self) -> bool:
-        lhs, rhs = self.cand.lhs, self.cand.rhs
-        for values in itertools.product(range(self.n), repeat=len(self.cand_free)):
-            env = dict(zip(self.cand_free, values))
-            if self._eval(lhs, env) != self._eval(rhs, env):
-                return True
-        return False
-
-    def countermodels(self) -> Iterator[FiniteAlgebra]:
-        if self.unsat:
-            return
-        cells, n, total = self.cells, self.n, self.total
-        ready = self.cand_ready_at
-        if ready == 0 and not self._cand_violated():
-            return
-        if total == 0:
-            if self._leaf_ok():
-                yield self._snapshot()
-            return
-        nodes = 0
-        slot = 0
-        while True:
-            v = cells[slot] + 1
-            if v >= n:
-                cells[slot] = -1
-                slot -= 1
-                if slot < 0:
-                    return
-                continue
-            nodes += 1
-            if nodes > self.max_nodes:
-                raise ResourceLimitError(
-                    f"countermodel search for {format_equation(self.cand)!r} "
-                    f"exceeded {self.max_nodes} nodes at size {n}")
-            cells[slot] = v
-            if not self._static_ok(slot):
-                continue
-            if slot + 1 == ready and not self._cand_violated():
-                continue
-            if slot == total - 1:
-                if self._leaf_ok():
-                    yield self._snapshot()
-            else:
-                slot += 1
-
-
 def _search_ops(sys: AxiomSystem, cand: Equation) -> tuple:
     wanted = system_ops(sys) | operations_of_equation(cand)
     return tuple(op for op in OP_ORDER if op in wanted)
@@ -209,18 +138,13 @@ def _cand_first_ops(sys: AxiomSystem, cand: Equation) -> tuple:
         op for op in ops if op not in cand_ops)
 
 
-def _has_countermodel(sys: AxiomSystem, cand: Equation, n: int,
-                      max_nodes: int) -> Optional[FiniteAlgebra]:
-    """Some model of size ``n`` violating ``cand`` (aggressively pruned, not
-    necessarily the first in enumeration order), or None."""
-    search = _RefutationSearch(sys, n, _cand_first_ops(sys, cand), cand, max_nodes)
-    return next(search.countermodels(), None)
-
-
-def _first_countermodel(sys: AxiomSystem, cand: Equation, n: int,
-                        max_nodes: int) -> FiniteAlgebra:
-    search = _RefutationSearch(sys, n, _search_ops(sys, cand), cand, max_nodes)
-    return next(search.countermodels())
+def _countermodel(sys: AxiomSystem, cand: Equation, n: int, ops: tuple,
+                  max_nodes: int) -> Optional[FiniteAlgebra]:
+    """The first model of size ``n`` violating ``cand`` when cells are
+    filled with the tables in ``ops`` order, or None.  Putting the
+    candidate's tables first decides it earliest and prunes hardest; the
+    canonical order gives the first countermodel in enumeration order."""
+    return next(_Search(sys, n, ops).run(cand, max_nodes), None)
 
 
 def semantic_consequence(sys: AxiomSystem, cand: Equation, max_size: int,
@@ -231,8 +155,8 @@ def semantic_consequence(sys: AxiomSystem, cand: Equation, max_size: int,
     _check_size(max_size, allow_large)
     for k in range(1, max_size + 1):
         # existence first (aggressively pruned), then the lex-least witness
-        if _has_countermodel(sys, cand, k, max_nodes) is not None:
-            alg = _first_countermodel(sys, cand, k, max_nodes)
+        if _countermodel(sys, cand, k, _cand_first_ops(sys, cand), max_nodes) is not None:
+            alg = _countermodel(sys, cand, k, _search_ops(sys, cand), max_nodes)
             witness = find_violation(alg, cand, _candidate_constants(sys, cand, alg))
             return Refuted(alg, tuple(sorted(witness.items())))
     return HoldsUpTo(max_size)
@@ -294,7 +218,8 @@ def consequence_set(sys: AxiomSystem, space: Optional[CandidateSpace] = None,
 
     def refuted_by_search(cand: Equation, sizes: range) -> bool:
         for k in sizes:
-            alg = _has_countermodel(sys, cand, k, DEFAULT_SEARCH_NODES)
+            alg = _countermodel(sys, cand, k, _cand_first_ops(sys, cand),
+                                DEFAULT_SEARCH_NODES)
             if alg is not None:
                 pool.append(alg)
                 return True

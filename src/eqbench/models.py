@@ -2,17 +2,18 @@
 isomorphism classification.
 
 Enumeration fills table cells in a fixed order (tables in canonical operation
-order, row-major, then constants) and prunes a branch as soon as some ground
-instance of an axiom is fully determined and violated.  The emitted stream is
-therefore in lexicographic order of the serialized (tables, constants) bundle
-and is reproducible for any worker count.
+order, row-major, then constants), so the emitted stream is in lexicographic
+order of the serialized (tables, constants) bundle.  Ground instances of
+axioms whose sides have depth <= 1 and name no constant prune a branch as
+soon as their cells are written; axioms of depth 2 or more, and axioms that
+name a constant, are checked only on complete branches.  The same search,
+given a candidate identity, emits only the models that violate it.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Iterator, Mapping, Optional
 
@@ -23,6 +24,7 @@ from .terms import (
     Op,
     Term,
     Var,
+    format_equation,
     operations_of_equation,
     term_depth,
     variables_of_equation,
@@ -147,7 +149,6 @@ def satisfies_all(alg: FiniteAlgebra, sys: AxiomSystem) -> bool:
 class EnumOptions:
     up_to_iso: bool = False
     max_results: Optional[int] = None
-    parallel_width: int = 1
     #: operations to instantiate; defaults to those mentioned by the system
     ops: Optional[frozenset] = None
     #: permit sizes above DEFAULT_SIZE_LIMIT
@@ -167,9 +168,9 @@ class _Search:
     """Backtracking search over table cells and constant values.
 
     Ground instances of axioms whose sides are depth <= 1 and constant-free
-    read statically known cells; those are indexed per cell and checked the
-    moment the cell is written.  Everything else is re-checked once a branch
-    is complete.
+    read statically known cells; each is indexed under the last of its cells
+    in fill order and checked the moment that cell is written.  Every other
+    axiom is checked once a branch is complete.  An instance runs once.
     """
 
     def __init__(self, sys: AxiomSystem, n: int, ops: tuple):
@@ -183,7 +184,7 @@ class _Search:
         self.cells = [-1] * self.total
         self.unsat = False
         self.static_by_slot = [[] for _ in range(self.total)]
-        self.general = []
+        self.general = []  # (equation, free variables) checked at leaves
         op_base = {op: i * self.n2 for i, op in enumerate(ops)}
         self._op_base = op_base
         self._const_slot = {
@@ -196,14 +197,16 @@ class _Search:
                 raise MissingTableError(f"missing table {names}")
             self._compile(eq)
 
+    def _free(self, eq: Equation) -> tuple:
+        return tuple(x for x in variables_of_equation(eq) if x not in self._const_slot)
+
     def _compile(self, eq: Equation):
-        consts = set(self.const_names)
-        mentions_const = any(x in consts for x in variables_of_equation(eq))
-        if mentions_const or term_depth(eq.lhs) > 1 or term_depth(eq.rhs) > 1:
-            self.general.append(eq)
+        free = self._free(eq)
+        if (len(free) < len(variables_of_equation(eq))
+                or term_depth(eq.lhs) > 1 or term_depth(eq.rhs) > 1):
+            self.general.append((eq, free))
             return
         n, op_base = self.n, self._op_base
-        free = variables_of_equation(eq)
         for values in itertools.product(range(n), repeat=len(free)):
             env = dict(zip(free, values))
 
@@ -221,21 +224,20 @@ class _Search:
             elif b[0] == "v":
                 self.static_by_slot[a[1]].append(("cv", a[1], b[1]))
             elif a[1] != b[1]:
-                inst = ("cc", a[1], b[1])
-                self.static_by_slot[a[1]].append(inst)
-                self.static_by_slot[b[1]].append(inst)
+                self.static_by_slot[max(a[1], b[1])].append(("cc", a[1], b[1]))
 
     def _static_ok(self, slot: int) -> bool:
+        # slots fill strictly in order, so every cell an instance reads is set
         cells = self.cells
-        for inst in self.static_by_slot[slot]:
-            kind, s1, s2 = inst
+        for kind, x, y in self.static_by_slot[slot]:
             if kind == "cv":
-                if cells[s1] != s2:
+                if cells[x] != y:
                     return False
-            else:
-                v1, v2 = cells[s1], cells[s2]
-                if v1 != -1 and v2 != -1 and v1 != v2:
+            elif kind == "cc":
+                if cells[x] != cells[y]:
                     return False
+            elif not self._fails(x, y):  # "cut": the candidate must fail
+                return False
         return True
 
     def _eval(self, t: Term, env: Mapping) -> int:
@@ -248,15 +250,17 @@ class _Search:
         r = self._eval(t.right, env)
         return self.cells[self._op_base[t.op] + l * self.n + r]
 
+    def _fails(self, eq: Equation, free: tuple) -> bool:
+        """True iff some assignment of ``free`` makes the sides of ``eq``
+        differ on the current cells."""
+        for values in itertools.product(range(self.n), repeat=len(free)):
+            env = dict(zip(free, values))
+            if self._eval(eq.lhs, env) != self._eval(eq.rhs, env):
+                return True
+        return False
+
     def _leaf_ok(self) -> bool:
-        consts = set(self.const_names)
-        for eq in self.general:
-            free = [x for x in variables_of_equation(eq) if x not in consts]
-            for values in itertools.product(range(self.n), repeat=len(free)):
-                env = dict(zip(free, values))
-                if self._eval(eq.lhs, env) != self._eval(eq.rhs, env):
-                    return False
-        return True
+        return not any(self._fails(eq, free) for eq, free in self.general)
 
     def _snapshot(self) -> FiniteAlgebra:
         n, n2 = self.n, self.n2
@@ -272,28 +276,50 @@ class _Search:
         )
         return FiniteAlgebra(n, tuple(tables), consts)
 
-    def run(self, prefix: tuple = ()) -> Iterator[FiniteAlgebra]:
-        """Depth-first stream; ``prefix`` pins the first slots of the search."""
+    def run(self, cand: Optional[Equation] = None,
+            max_nodes: Optional[int] = None) -> Iterator[FiniteAlgebra]:
+        """Depth-first stream of models in fill order.
+
+        With ``cand``, only models on which it fails: the candidate becomes
+        one more static instance under the last cell it can read, and the
+        branch is cut there when it holds.  With ``cand`` and ``max_nodes``,
+        raise ResourceLimitError once more nodes than that have been
+        visited; nodes are counted as slots are exhausted, so the cap is
+        noticed at most ``n * total`` nodes late.
+        """
         if self.unsat:
             return
-        cells, n, total = self.cells, self.n, self.total
-        for i, v in enumerate(prefix):
-            cells[i] = v
-            if not self._static_ok(i):
+        if cand is not None:
+            free = self._free(cand)
+            ready = max(
+                [self._op_base[op] + self.n2 for op in operations_of_equation(cand)]
+                + [self._const_slot[x] + 1 for x in variables_of_equation(cand)
+                   if x in self._const_slot],
+                default=0)
+            if ready:
+                self.static_by_slot[ready - 1].append(("cut", cand, free))
+            elif not self._fails(cand, free):
                 return
-        start = len(prefix)
-        if start == total:
+        cells, n, total = self.cells, self.n, self.total
+        if total == 0:
             if self._leaf_ok():
                 yield self._snapshot()
             return
-        slot = start
+        limit = float("inf") if max_nodes is None else max_nodes
+        nodes = 0
+        slot = 0
         while True:
             v = cells[slot] + 1
             if v >= n:
                 cells[slot] = -1
                 slot -= 1
-                if slot < start:
+                if slot < 0:
                     return
+                nodes += n
+                if nodes > limit:
+                    raise ResourceLimitError(
+                        f"countermodel search for {format_equation(cand)!r} "
+                        f"exceeded {max_nodes} nodes at size {n}")
                 continue
             cells[slot] = v
             if not self._static_ok(slot):
@@ -303,29 +329,6 @@ class _Search:
                     yield self._snapshot()
             else:
                 slot += 1
-
-
-def _partition_run(sys, n, ops, prefix):
-    return list(_Search(sys, n, ops).run(prefix))
-
-
-def _raw_stream(sys: AxiomSystem, n: int, opts: EnumOptions) -> Iterator[FiniteAlgebra]:
-    ops = _ordered_ops(sys, opts)
-    width = max(1, opts.parallel_width)
-    search = _Search(sys, n, ops)
-    if width == 1 or search.total == 0 or n == 1:
-        yield from search.run()
-        return
-    # Workers take disjoint subtrees (split on the leading cells); emitting
-    # partition by partition keeps the stream identical for every width.
-    depth = 1
-    while n ** depth < width and depth < search.total:
-        depth += 1
-    prefixes = list(itertools.product(range(n), repeat=depth))
-    with ThreadPoolExecutor(max_workers=width) as pool:
-        futures = [pool.submit(_partition_run, sys, n, ops, p) for p in prefixes]
-        for fut in futures:
-            yield from fut.result()
 
 
 def enumerate_models(sys: AxiomSystem, n: int, opts: Optional[EnumOptions] = None
@@ -344,7 +347,7 @@ def enumerate_models(sys: AxiomSystem, n: int, opts: Optional[EnumOptions] = Non
             f"size {n} exceeds the default limit of {DEFAULT_SIZE_LIMIT}; "
             "pass allow_large to override")
     emitted = 0
-    for alg in _raw_stream(sys, n, opts):
+    for alg in _Search(sys, n, _ordered_ops(sys, opts)).run():
         if opts.up_to_iso and not is_canonical(alg):
             continue
         if opts.max_results is not None and emitted >= opts.max_results:
@@ -363,15 +366,19 @@ def count_models(sys: AxiomSystem, n: int, up_to_iso: bool = False,
 # ---------------------------------------------------------------------------
 # isomorphism
 
-def _entry_vector(alg: FiniteAlgebra, perm, inv) -> list:
+def _relabelings(alg: FiniteAlgebra) -> Iterator[list]:
+    """The entry vector of ``alg`` under every carrier relabeling, the
+    identity first."""
     n = alg.size
-    out = []
-    for _, table in alg.tables:
-        for i in range(n):
-            row = table[inv[i]]
-            out.extend(perm[row[inv[j]]] for j in range(n))
-    out.extend(perm[v] for _, v in alg.constants)
-    return out
+    for perm in itertools.permutations(range(n)):
+        inv = sorted(range(n), key=perm.__getitem__)
+        out = []
+        for _, table in alg.tables:
+            for i in range(n):
+                row = table[inv[i]]
+                out.extend(perm[row[inv[j]]] for j in range(n))
+        out.extend(perm[v] for _, v in alg.constants)
+        yield out
 
 
 def canonical_form(alg: FiniteAlgebra) -> bytes:
@@ -380,33 +387,18 @@ def canonical_form(alg: FiniteAlgebra) -> bytes:
     Two algebras get equal forms exactly when some bijection of carriers
     maps all tables and constants of one onto the other.
     """
-    n = alg.size
-    ident = tuple(range(n))
-    best = None
-    for perm in itertools.permutations(range(n)):
-        inv = ident if perm == ident else tuple(sorted(range(n), key=perm.__getitem__))
-        vec = _entry_vector(alg, perm, inv)
-        if best is None or vec < best:
-            best = vec
     header = "%d;%s;%s;" % (
-        n,
+        alg.size,
         ",".join(op.value for op, _ in alg.tables),
         ",".join(name for name, _ in alg.constants),
     )
-    return header.encode() + bytes(best)
+    return header.encode() + bytes(min(_relabelings(alg)))
 
 
 def is_canonical(alg: FiniteAlgebra) -> bool:
-    n = alg.size
-    ident = tuple(range(n))
-    own = _entry_vector(alg, ident, ident)
-    for perm in itertools.permutations(range(n)):
-        if perm == ident:
-            continue
-        inv = tuple(sorted(range(n), key=perm.__getitem__))
-        if _entry_vector(alg, perm, inv) < own:
-            return False
-    return True
+    vectors = _relabelings(alg)
+    own = next(vectors)
+    return all(own <= vec for vec in vectors)
 
 
 # ---------------------------------------------------------------------------
@@ -425,10 +417,9 @@ def record_line(alg: FiniteAlgebra) -> str:
 
 
 def from_record(rec: Mapping) -> FiniteAlgebra:
+    """The algebra a record describes; ValueError for any malformed record."""
     try:
-        size = int(rec["size"])
         ops = {Op(name): table for name, table in rec.get("ops", {}).items()}
-        constants = rec.get("constants", {})
-    except (KeyError, ValueError, TypeError) as exc:
+        return make_algebra(int(rec["size"]), ops, rec.get("constants", {}))
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed algebra record: {exc}") from exc
-    return make_algebra(size, ops, constants)

@@ -177,10 +177,17 @@ def _parse_term(sc: _Scanner) -> Term:
             return t
 
 
+def _parse_side(sc: _Scanner) -> Term:
+    try:
+        return _parse_term(sc)
+    except RecursionError:
+        raise ParseError("nesting too deep", sc.text, sc.pos) from None
+
+
 def parse_term(text: str) -> Term:
     """Parse ``text`` into a term, or raise ParseError with a position."""
     sc = _Scanner(text)
-    t = _parse_term(sc)
+    t = _parse_side(sc)
     if sc.peek() != "":
         raise ParseError(f"unexpected trailing {sc.peek()!r}", sc.text, sc.pos)
     return t
@@ -189,11 +196,11 @@ def parse_term(text: str) -> Term:
 def parse_equation(text: str) -> Equation:
     """Parse ``lhs = rhs``; exactly one '=' is allowed."""
     sc = _Scanner(text)
-    lhs = _parse_term(sc)
+    lhs = _parse_side(sc)
     if sc.peek() != "=":
         raise ParseError("expected '=' between the two sides", sc.text, sc.pos)
     sc.take()
-    rhs = _parse_term(sc)
+    rhs = _parse_side(sc)
     if sc.peek() == "=":
         raise ParseError("more than one '=' in equation", sc.text, sc.pos)
     if sc.peek() != "":

@@ -1,5 +1,6 @@
 import io
 import json
+import time
 
 import pytest
 
@@ -171,6 +172,13 @@ def test_prove_bad_identity_is_config_error(capsys):
     assert code == cli.EXIT_CONFIG
 
 
+@pytest.mark.parametrize("command", ["prove", "refute"])
+def test_deeply_nested_identity_is_config_error(capsys, command):
+    deep = "(" * 5000 + "a" + ")" * 5000
+    code, _, err = run(capsys, command, "--system", "C0", f"{deep} = a")
+    assert code == cli.EXIT_CONFIG and "nesting too deep" in err
+
+
 def test_refute_empty_system_commutativity(capsys):
     code, out, _ = run(capsys, "refute", "--system", "none", "ab = ba",
                        "--max-size", "2")
@@ -303,9 +311,41 @@ def test_enumerate_max_results_cap_with_cache(tmp_path, capsys):
             "--max-results", "5", "--count", "--cache-dir", str(tmp_path)]
     code, _, err = run(capsys, *args)
     assert code == cli.EXIT_RESOURCE
-    # warm cache must report the same breach
+    # nothing was cached, so the second run breaches the same way
     code, _, err = run(capsys, *args)
     assert code == cli.EXIT_RESOURCE
+
+
+def test_enumerate_max_results_on_cold_cache_stops_early(tmp_path, capsys):
+    # C1 has 14,348,907 models of size 3; the cap must stop the search, and
+    # an enumeration cut short by it must not be cached
+    started = time.monotonic()
+    code, _, err = run(capsys, "enumerate", "--system", "C1", "--size", "3",
+                       "--max-results", "5", "--count", "--cache-dir", str(tmp_path))
+    assert code == cli.EXIT_RESOURCE and "max_results=5" in err
+    assert time.monotonic() - started < 30
+    assert list(tmp_path.iterdir()) == []
+    # a run under the cap is cached, and a smaller cap breaches from the cache
+    args = ["enumerate", "--system", "C1", "--size", "2", "--count",
+            "--cache-dir", str(tmp_path)]
+    assert run(capsys, *args, "--max-results", "200")[:2] == (0, "128\n")
+    assert len(list(tmp_path.glob("*.jsonl"))) == 1
+    code, _, _ = run(capsys, *args, "--max-results", "100")
+    assert code == cli.EXIT_RESOURCE
+
+
+def test_corrupt_cache_file_is_a_miss(tmp_path, capsys):
+    args = ["enumerate", "--system", "C1", "--size", "2", "--format", "records",
+            "--cache-dir", str(tmp_path)]
+    code, cold, _ = run(capsys, *args)
+    assert code == 0
+    [path] = tmp_path.glob("*.jsonl")
+    written = path.read_bytes()
+    path.write_bytes(written[:-10])  # cut inside the last record
+    code, again, _ = run(capsys, *args)
+    assert code == 0 and again == cold
+    assert path.read_bytes() == written
+    assert list(tmp_path.iterdir()) == [path]  # no temp file left behind
 
 
 def test_check_reports_each_record_on_its_own_line(tmp_path, capsys):

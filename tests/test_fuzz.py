@@ -1,0 +1,103 @@
+"""Seeded fuzzing of the search core against the brute-force oracles.
+
+Every built-in axiom has depth <= 1, so on its own the suite reaches the
+leaf-check path only through the constant-bearing neutral readings.  Here
+random small systems with depth-2 terms, a constant and random operation
+sets drive enumeration and the countermodel search through both the early
+(static) checks and the leaf checks.
+"""
+
+import itertools
+import random
+
+from eqbench.axioms import make_system, system_ops
+from eqbench.consequence import HoldsUpTo, Refuted, semantic_consequence
+from eqbench.models import EnumOptions, enumerate_models, record_line
+from eqbench.terms import (
+    App,
+    Equation,
+    OP_ORDER,
+    Var,
+    operations_of_equation,
+    term_depth,
+    variables_of,
+    variables_of_equation,
+)
+
+from oracles import literal_models, o_eval, oracle_models
+
+SYSTEMS = 30
+CANDIDATES_PER_SYSTEM = 2
+
+
+def _random_term(rng, ops, names, depth):
+    if depth == 0 or rng.random() < 0.45:
+        return Var(rng.choice(names))
+    return App(rng.choice(ops),
+               _random_term(rng, ops, names, depth - 1),
+               _random_term(rng, ops, names, depth - 1))
+
+
+def _random_equation(rng, ops, constants):
+    # a right side over the left side's variables rarely forces a trivial
+    # carrier, so most systems keep some but not all size-2 algebras
+    lhs = _random_term(rng, ops, ["a", "b", "c", *constants], 2)
+    rhs_names = sorted(set(variables_of(lhs)) | set(constants))
+    return Equation(lhs, _random_term(rng, ops, rhs_names, 2))
+
+
+def _random_cases():
+    rng = random.Random(20131305)
+    for i in range(SYSTEMS):
+        ops = rng.sample(OP_ORDER, rng.choice((1, 1, 2)))
+        constants = ("e",) if rng.random() < 0.5 else ()
+        axioms = [_random_equation(rng, ops, constants) for _ in range(rng.choice((1, 2)))]
+        sys_ = make_system(f"fuzz{i}", axioms, constants)
+        # sometimes instantiate a table the axioms leave free
+        table_ops = set(ops) | ({rng.choice(OP_ORDER)} if rng.random() < 0.3 else set())
+        cand_ops = rng.sample(OP_ORDER, rng.choice((1, 2)))
+        cands = [_random_equation(rng, cand_ops, constants)
+                 for _ in range(CANDIDATES_PER_SYSTEM)]
+        yield sys_, frozenset(table_ops), cands
+
+
+def _oracle_counterexample(sys_, cand, n):
+    """First (model, witness) of size ``n`` in lexicographic order on which
+    ``cand`` fails, by brute force over every table bundle, or None."""
+    ops = system_ops(sys_) | operations_of_equation(cand)
+    for alg in literal_models(sys_, n, ops):
+        tables = dict(alg.tables)
+        fixed = {name: v for name, v in alg.constants}
+        free = [x for x in variables_of_equation(cand) if x not in fixed]
+        for values in itertools.product(range(n), repeat=len(free)):
+            env = dict(zip(free, values), **fixed)
+            if o_eval(cand.lhs, tables, env) != o_eval(cand.rhs, tables, env):
+                return alg, tuple(sorted(zip(free, values)))
+    return None
+
+
+def _checked_at_leaves(sys_):
+    return any(
+        term_depth(eq.lhs) > 1 or term_depth(eq.rhs) > 1
+        or sys_.constants & set(variables_of_equation(eq))
+        for eq in sys_.equations)
+
+
+def test_random_systems_match_oracles():
+    leaf_checked = 0
+    for sys_, table_ops, cands in _random_cases():
+        leaf_checked += _checked_at_leaves(sys_)
+        for n in (1, 2):
+            got = [record_line(m) for m in
+                   enumerate_models(sys_, n, EnumOptions(ops=table_ops))]
+            want = sorted(record_line(m) for m in oracle_models(sys_, n, table_ops))
+            assert got == want, f"{sys_} at size {n}"
+        for cand in cands:
+            verdict = semantic_consequence(sys_, cand, 2)
+            found = _oracle_counterexample(sys_, cand, 1) or \
+                _oracle_counterexample(sys_, cand, 2)
+            if found is None:
+                assert verdict == HoldsUpTo(2), f"{sys_} with {cand}"
+            else:
+                assert verdict == Refuted(*found), f"{sys_} with {cand}"
+    assert leaf_checked >= SYSTEMS // 2

@@ -168,14 +168,6 @@ def test_enumeration_is_lexicographic_and_deterministic():
     assert seq == [record_line(m) for m in enumerate_models(c0, 2)]
 
 
-def test_parallel_width_does_not_change_stream():
-    c0 = builtin_system("C0")
-    base = list(enumerate_models(c0, 2))
-    for width in (2, 4, 8):
-        par = list(enumerate_models(c0, 2, EnumOptions(parallel_width=width)))
-        assert par == base
-
-
 def test_enumerate_missing_op_errors_instead_of_vacuous_pass():
     with pytest.raises(MissingTableError):
         list(enumerate_models(builtin_system("C0"), 2, PROD_ONLY))

@@ -82,7 +82,9 @@ def test_whitespace_and_comments_ignored():
     assert parse_equation("ab = ba # the first law") == Equation(prod(a, b), prod(b, a))
 
 
-@pytest.mark.parametrize("bad", ["", "(", "a)", "()", "a +", "A", "a (", "a:"])
+@pytest.mark.parametrize("bad", ["", "(", "a)", "()", "a +", "A", "a (", "a:",
+                                 pytest.param("(" * 5000 + "a" + ")" * 5000,
+                                              id="nested-5000")])
 def test_parse_errors_carry_position(bad):
     with pytest.raises(ParseError) as err:
         parse_term(bad)
