@@ -148,27 +148,36 @@ def _cache_path(cache_dir: str, sys_: AxiomSystem, ops, n: int, up_to_iso: bool)
     return Path(cache_dir) / f"{key}.jsonl"
 
 
+def _end_marker(count: int) -> str:
+    return json.dumps({"records": count})
+
+
 def _read_cache(path: Path):
-    """The algebras cached at ``path``, or None when the file is absent or
-    holds a line that does not parse as an algebra record (a miss)."""
+    """The algebras cached at ``path``, or None (a miss) when the file is
+    absent, does not end with the marker line that counts its records, or
+    holds a line that does not parse as an algebra record."""
     try:
-        text = path.read_text(encoding="utf-8")
+        lines = path.read_text(encoding="utf-8").splitlines()
     except FileNotFoundError:
         return None
+    if not lines or lines[-1] != _end_marker(len(lines) - 1):
+        return None
     try:
-        return [from_record(json.loads(line)) for line in text.splitlines() if line.strip()]
+        return [from_record(json.loads(line)) for line in lines[:-1]]
     except ValueError:
         return None
 
 
 def _write_cache(path: Path, algebras):
-    """Write through a temp file of this writer's own, then rename it into
-    place, so readers never see a partial file."""
+    """Write the records and the end marker through a temp file of this
+    writer's own, then rename it into place, so readers never see a partial
+    file."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.stem + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as f:
             f.writelines(record_line(a) + "\n" for a in algebras)
+            f.write(_end_marker(len(algebras)) + "\n")
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)

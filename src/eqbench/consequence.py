@@ -7,7 +7,11 @@ Two complementary engines:
   reported as HoldsUpTo(k), never as proved.
 * ``derive`` searches for an equational derivation (reflexivity, symmetry,
   transitivity, congruence, substitution, axiom instances) within term-depth
-  and step budgets, returning a replayable proof object.
+  and step budgets, returning a replayable proof object.  Its work goes into
+  one-step rewrites: both directions of every axiom are set up once per call,
+  the positions of a term are listed once per term, and a rewrite that would
+  pass the depth cap is rejected on the depth of the new subterm before the
+  new term is built.
 
 ``consequence_set`` combines them.  Each candidate is decided by the first
 step that settles it: the countermodels already found for the system in the
@@ -247,13 +251,12 @@ def consequence_set(sys: AxiomSystem, space: Optional[CandidateSpace] = None,
 # ---------------------------------------------------------------------------
 # syntactic derivation
 
-def _positions(t: Term) -> Iterator[tuple]:
-    yield ()
+def _positions(t: Term, pos: tuple = ()) -> Iterator[tuple]:
+    """(position, subterm) pairs of ``t`` in preorder."""
+    yield pos, t
     if isinstance(t, App):
-        for p in _positions(t.left):
-            yield (0,) + p
-        for p in _positions(t.right):
-            yield (1,) + p
+        yield from _positions(t.left, pos + (0,))
+        yield from _positions(t.right, pos + (1,))
 
 
 def _subterm_at(t: Term, pos: tuple) -> Term:
@@ -289,31 +292,43 @@ def match(pattern: Term, subject: Term, rigid: frozenset, sigma: dict) -> bool:
     )
 
 
-def _rewrites(t: Term, sys: AxiomSystem, leaves: Sequence[Term],
-              max_depth: int) -> Iterator[tuple]:
-    """One-step rewrites of ``t`` by axiom instances, with the edge label
-    (axiom index, forward?, position, substitution) used to rebuild proofs."""
+def _directions(sys: AxiomSystem) -> tuple:
+    """(axiom index, forward?, source, target, unbound, rigid map) for both
+    directions of every axiom, in search order.  A match binds every
+    non-constant variable of the source, so the target's other variables
+    (``unbound``) are known before matching."""
     rigid = sys.constants
+    out = []
     for idx, eq in enumerate(sys.equations):
+        names = dict.fromkeys(variables_of(eq.lhs) + variables_of(eq.rhs))
+        fixed = {c: Var(c) for c in rigid if c in names}
         for src, dst, forward in ((eq.lhs, eq.rhs, True), (eq.rhs, eq.lhs, False)):
-            for pos in _positions(t):
-                sigma = {}
-                if not match(src, _subterm_at(t, pos), rigid, sigma):
-                    continue
-                axiom_vars = dict.fromkeys(
-                    variables_of(eq.lhs) + variables_of(eq.rhs))
-                unbound = [
-                    v for v in axiom_vars
-                    if v not in sigma and v not in rigid
-                ]
-                for combo in itertools.product(leaves, repeat=len(unbound)):
-                    full = dict(sigma)
-                    full.update(zip(unbound, combo))
-                    full.update({c: Var(c) for c in rigid if c in axiom_vars})
-                    new_sub = substitute(dst, full)
-                    new_t = _replace_at(t, pos, new_sub)
-                    if term_depth(new_t) <= max_depth:
-                        yield new_t, (idx, forward, pos, full)
+            bound = variables_of(src)
+            unbound = tuple(v for v in names if v not in bound and v not in rigid)
+            out.append((idx, forward, src, dst, unbound, fixed))
+    return tuple(out)
+
+
+def _rewrites(t: Term, directions: tuple, rigid: frozenset,
+              leaves: Sequence[Term], max_depth: int) -> Iterator[tuple]:
+    """One-step rewrites of ``t`` (itself within ``max_depth``) by axiom
+    instances, with the edge label (axiom index, forward?, position,
+    substitution) used to rebuild proofs.  Only the new subterm can push the
+    result past ``max_depth``, so it is checked before the term is built."""
+    positions = list(_positions(t))
+    for idx, forward, src, dst, unbound, fixed in directions:
+        for pos, sub in positions:
+            sigma = {}
+            if not match(src, sub, rigid, sigma):
+                continue
+            room = max_depth - len(pos)
+            for combo in itertools.product(leaves, repeat=len(unbound)):
+                full = dict(sigma)
+                full.update(zip(unbound, combo))
+                full.update(fixed)
+                new_sub = substitute(dst, full)
+                if term_depth(new_sub) <= room:
+                    yield _replace_at(t, pos, new_sub), (idx, forward, pos, full)
 
 
 def _identity_sigma(sigma: dict) -> bool:
@@ -360,7 +375,10 @@ def derive(sys: AxiomSystem, cand: Equation,
            budgets: Optional[DeriveBudgets] = None) -> Verdict:
     """Bounded bidirectional search for an equational proof of ``cand``.
 
-    Proved verdicts carry a derivation that has been replayed through
+    Breadth-first from both sides, every new term counting as a node; axiom
+    directions are set up once per call, positions once per term, and a
+    rewrite past the depth cap is rejected before its term is built.  Proved
+    verdicts carry a derivation that has been replayed through
     validate_derivation; exhausted budgets give Unknown, never an error.
     """
     budgets = budgets or DeriveBudgets()
@@ -385,6 +403,7 @@ def derive(sys: AxiomSystem, cand: Equation,
         term_depth(cand.lhs),
         term_depth(cand.rhs),
     )
+    directions = _directions(sys)
 
     # parents[side][term] = (previous term, edge); side 0 grows from the lhs,
     # side 1 from the rhs.  Edges are reversible, so a meeting term yields a
@@ -404,7 +423,7 @@ def derive(sys: AxiomSystem, cand: Equation,
             side = 1
         new_frontier = []
         for t in frontiers[side]:
-            for u, edge in _rewrites(t, sys, leaves, depth_cap):
+            for u, edge in _rewrites(t, directions, sys.constants, leaves, depth_cap):
                 if u in parents[side]:
                     continue
                 nodes += 1

@@ -41,6 +41,12 @@ class Op(Enum):
     LDIV = "ldiv"
     RDIV = "rdiv"
 
+    # Members are singletons and compare by identity, so the identity hash
+    # is consistent with equality and runs in C, unlike Enum's
+    # hash(self._name_).  Either hash varies between processes; every
+    # ordered walk over a set of operations goes through OP_ORDER or sorted.
+    __hash__ = object.__hash__
+
     @property
     def glyph(self) -> str:
         return {Op.PROD: " ", Op.LDIV: ":", Op.RDIV: "/"}[self]

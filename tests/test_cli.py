@@ -1,6 +1,10 @@
 import io
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -341,11 +345,28 @@ def test_corrupt_cache_file_is_a_miss(tmp_path, capsys):
     assert code == 0
     [path] = tmp_path.glob("*.jsonl")
     written = path.read_bytes()
-    path.write_bytes(written[:-10])  # cut inside the last record
+    lines = written.splitlines(keepends=True)
+    lines[-2] = lines[-2][:-10] + b"\n"  # cut inside the last record
+    path.write_bytes(b"".join(lines))
     code, again, _ = run(capsys, *args)
     assert code == 0 and again == cold
     assert path.read_bytes() == written
     assert list(tmp_path.iterdir()) == [path]  # no temp file left behind
+
+
+def test_truncated_cache_file_is_a_miss(tmp_path, capsys):
+    args = ["enumerate", "--system", "C1", "--size", "2", "--count",
+            "--cache-dir", str(tmp_path)]
+    assert run(capsys, *args)[:2] == (0, "128\n")
+    [path] = tmp_path.glob("*.jsonl")
+    written = path.read_bytes()
+    lines = written.splitlines(keepends=True)
+    assert len(lines) == 129 and json.loads(lines[-1]) == {"records": 128}
+    # cut at a line boundary, and a file without the end marker
+    for kept in (lines[:100], lines[:-1]):
+        path.write_bytes(b"".join(kept))
+        assert run(capsys, *args)[:2] == (0, "128\n")
+        assert path.read_bytes() == written
 
 
 def test_check_reports_each_record_on_its_own_line(tmp_path, capsys):
@@ -365,3 +386,25 @@ def test_check_reports_each_record_on_its_own_line(tmp_path, capsys):
     assert len(lines) == 2
     assert json.loads(lines[0])["satisfies"] is True
     assert json.loads(lines[1])["satisfies"] is False
+
+
+# ---------------------------------------------------------------------------
+# output does not depend on the interpreter's hash seed
+
+@pytest.mark.parametrize("argv", [
+    ["rank", "C0", "C1", "--model-size", "2", "--format", "records"],
+    ["enumerate", "--system", "C0", "--size", "2", "--up-to-iso", "--format", "records"],
+    ["prove", "--system", "Mx_neutral", "a e = a", "--format", "records"],
+], ids=["rank", "enumerate", "prove"])
+def test_output_independent_of_hash_seed(argv):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    results = []
+    for seed in ("0", "12345"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        env.pop("EQBENCH_CACHE_DIR", None)
+        proc = subprocess.run([sys.executable, "-m", "eqbench.cli", *argv], env=env,
+                              capture_output=True, timeout=120)
+        results.append((proc.returncode, proc.stdout))
+    assert results[0] == results[1]
+    assert results[0][1]

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import pytest
 
 from eqbench.axioms import BUILTIN_NAMES, builtin_system, empty_system, make_system
@@ -135,6 +138,22 @@ def test_derive_with_constants_in_axioms():
     verdict = derive(neutral, parse_equation("a e = e a"))
     assert isinstance(verdict, Proved)
     replay(neutral, verdict.derivation, parse_equation("a e = e a"))
+
+
+def test_derive_reproduces_golden_records():
+    # pins node-budget Unknowns as well as proofs, and through the lines with
+    # a max_nodes budget the nodes visited before each proof is found;
+    # regenerate with tests/golden/make_derive_records.py only when derive's
+    # output should change
+    golden = Path(__file__).parent / "golden" / "derive_records.jsonl"
+    lines = golden.read_text(encoding="utf-8").splitlines()
+    rows = [json.loads(line) for line in lines]
+    assert sum("max_nodes" not in row for row in rows) == 6 * 56 + 2 * 20
+    for line, row in zip(lines, rows):
+        budgets = DeriveBudgets(max_nodes=row["max_nodes"]) if "max_nodes" in row else None
+        verdict = derive(builtin_system(row["system"]), parse_equation(row["identity"]), budgets)
+        row["verdict"] = verdict_record(verdict)
+        assert json.dumps(row, separators=(",", ":")) == line
 
 
 def test_every_proved_derivation_revalidates():
