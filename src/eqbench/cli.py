@@ -47,10 +47,10 @@ from .models import (
     ResourceLimitError,
     bind_constants,
     enumerate_models,
-    find_violation,
     from_record,
     record_line,
     to_record,
+    violation_finder,
 )
 from .power import compare, power_record, rank_all, rank_record
 from .structure import classify_structure, is_abelian_group, report_record
@@ -224,16 +224,12 @@ def cmd_enumerate(args) -> int:
 
 def cmd_check(args) -> int:
     sys_ = _resolve_merged(args.system)
+    finders = [(eq, violation_finder(eq)) for eq in sys_.equations]
     code = EXIT_OK
     for alg in _read_algebra_records(args.algebra):
         bound = bind_constants(alg, sys_)
-        failed = None
-        witness = None
-        for eq in sys_.equations:
-            witness = find_violation(alg, eq, bound)
-            if witness is not None:
-                failed = eq
-                break
+        failed, witness = next(((eq, w) for eq, find in finders
+                                if (w := find(alg, bound)) is not None), (None, None))
         ok = failed is None
         if args.format == "records":
             _emit({

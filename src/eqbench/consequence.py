@@ -36,8 +36,10 @@ from .models import (
     FiniteAlgebra,
     ResourceLimitError,
     _Search,
+    bind_constants,
     find_violation,
     to_record,
+    violation_finder,
 )
 from .terms import (
     App,
@@ -161,7 +163,7 @@ def semantic_consequence(sys: AxiomSystem, cand: Equation, max_size: int,
         # existence first (aggressively pruned), then the lex-least witness
         if _countermodel(sys, cand, k, _cand_first_ops(sys, cand), max_nodes) is not None:
             alg = _countermodel(sys, cand, k, _search_ops(sys, cand), max_nodes)
-            witness = find_violation(alg, cand, _candidate_constants(sys, cand, alg))
+            witness = find_violation(alg, cand, bind_constants(alg, sys))
             return Refuted(alg, tuple(sorted(witness.items())))
     return HoldsUpTo(max_size)
 
@@ -173,11 +175,6 @@ def _check_size(max_size: int, allow_large: bool):
         raise ResourceLimitError(
             f"max_size {max_size} exceeds the default limit of {DEFAULT_SIZE_LIMIT}; "
             "pass allow_large to override")
-
-
-def _candidate_constants(sys: AxiomSystem, cand: Equation, alg: FiniteAlgebra) -> dict:
-    values = alg.constant_map()
-    return {x: values[x] for x in variables_of_equation(cand) if x in sys.constants}
 
 
 # ---------------------------------------------------------------------------
@@ -218,22 +215,22 @@ def consequence_set(sys: AxiomSystem, space: Optional[CandidateSpace] = None,
     i.e. the bounded proxy for the system's deductive strength."""
     _check_size(model_size, allow_large)
     space = space or CandidateSpace()
-    pool = []  # countermodels found so far, any size <= model_size
+    pool = []  # (countermodel, its tables, its constants) found so far
 
     def refuted_by_search(cand: Equation, sizes: range) -> bool:
         for k in sizes:
             alg = _countermodel(sys, cand, k, _cand_first_ops(sys, cand),
                                 DEFAULT_SEARCH_NODES)
             if alg is not None:
-                pool.append(alg)
+                pool.append((alg, set(alg.ops), bind_constants(alg, sys)))
                 return True
         return False
 
     def holds(cand: Equation) -> bool:
         needed = operations_of_equation(cand)
-        for alg in pool:
-            if needed <= set(alg.ops) and find_violation(
-                    alg, cand, _candidate_constants(sys, cand, alg)) is not None:
+        find = violation_finder(cand)
+        for alg, ops, bound in pool:
+            if needed <= ops and find(alg, bound) is not None:
                 return False
         if refuted_by_search(cand, range(1, min(2, model_size) + 1)):
             return False

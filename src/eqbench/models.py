@@ -1,6 +1,12 @@
 """Finite algebras on {0..n-1}: evaluation, satisfaction, enumeration, and
 isomorphism classification.
 
+One evaluator serves every identity check: ``_compile`` turns an equation
+into closures over a flat vector of table cells, one per term node, each
+giving the node's values under all assignments at once.  Each equation is
+compiled once per size and table layout and reused across records, search
+branches and pooled countermodels.
+
 Enumeration fills table cells in a fixed order (tables in canonical operation
 order, row-major, then constants), so the emitted stream is in lexicographic
 order of the serialized (tables, constants) bundle.  Ground instances of
@@ -15,6 +21,9 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, replace
+from functools import cached_property, lru_cache
+from itertools import chain
+from operator import itemgetter, ne
 from typing import Iterator, Mapping, Optional
 
 from .axioms import AxiomSystem, system_ops
@@ -61,7 +70,7 @@ class FiniteAlgebra:
     tables: tuple = ()
     constants: tuple = ()
 
-    @property
+    @cached_property
     def ops(self) -> tuple:
         return tuple(op for op, _ in self.tables)
 
@@ -74,20 +83,32 @@ class FiniteAlgebra:
     def constant_map(self) -> dict:
         return dict(self.constants)
 
+    @cached_property
+    def cells(self) -> tuple:
+        """Every table entry, table after table, each row-major."""
+        return tuple(chain.from_iterable(chain.from_iterable(t for _, t in self.tables)))
+
 
 def make_algebra(size: int, tables: Mapping, constants: Mapping = ()) -> FiniteAlgebra:
     if size < 1:
         raise ValueError("carrier must be nonempty")
-    packed = []
-    for op in OP_ORDER:
-        if op not in tables:
-            continue
-        rows = tuple(tuple(int(x) for x in row) for row in tables[op])
-        if len(rows) != size or any(len(r) != size for r in rows):
-            raise ValueError(f"{op.value} table must be {size}x{size}")
-        if any(not 0 <= x < size for r in rows for x in r):
-            raise ValueError(f"{op.value} table entry out of range")
-        packed.append((op, rows))
+    ops = [op for op in OP_ORDER if op in tables]
+    given = [tables[op] for op in ops]
+    rows = list(chain.from_iterable(given)) if set(map(type, given)) <= {list, tuple} else ()
+    if (set(map(type, rows)) <= {list, tuple}
+            and set(map(type, chain.from_iterable(rows))) == {int}
+            and set(map(len, chain(given, rows))) == {size}
+            and set(chain.from_iterable(rows)) <= set(range(size))):
+        packed = [(op, tuple(map(tuple, table))) for op, table in zip(ops, given)]
+    else:  # convert by int() and report the first bad table
+        packed = []
+        for op, table in zip(ops, given):
+            rows = tuple(tuple(int(x) for x in row) for row in table)
+            if len(rows) != size or any(len(r) != size for r in rows):
+                raise ValueError(f"{op.value} table must be {size}x{size}")
+            if any(not 0 <= x < size for r in rows for x in r):
+                raise ValueError(f"{op.value} table entry out of range")
+            packed.append((op, rows))
     consts = tuple(sorted((str(k), int(v)) for k, v in dict(constants).items()))
     if any(not 0 <= v < size for _, v in consts):
         raise ValueError("constant value out of range")
@@ -97,28 +118,110 @@ def make_algebra(size: int, tables: Mapping, constants: Mapping = ()) -> FiniteA
 # ---------------------------------------------------------------------------
 # evaluation and satisfaction
 
-def eval_term(alg: FiniteAlgebra, t: Term, v: Mapping) -> int:
-    """Tarskian evaluation by recursive table lookup."""
+#: the most assignments a compiled check evaluates in one pass
+_MAX_WIDTH = 729
+
+
+@lru_cache(maxsize=None)
+def _columns(n: int, k: int) -> tuple:
+    """Column i holds the value of variable i in each assignment of k
+    variables into {0..n-1}, the assignments counted up lexicographically."""
+    return tuple(zip(*itertools.product(range(n), repeat=k)))
+
+
+def _node(t: Term, n: int, base: Mapping, slot: Mapping, columns: Mapping, width: int):
+    """Closure from a cell vector to the values of ``t`` under all ``width``
+    assignments.  An operation of two free variables is one lookup; names
+    and tables are looked up in preorder, as evaluation would meet them."""
     if isinstance(t, Var):
-        try:
-            return v[t.name]
-        except KeyError:
-            raise KeyError(f"no binding for variable {t.name!r}") from None
-    table = alg.table(t.op)
-    return table[eval_term(alg, t.left, v)][eval_term(alg, t.right, v)]
+        if t.name in columns:
+            col = columns[t.name]
+            return lambda c: col
+        if t.name not in slot:
+            raise KeyError(f"no binding for variable {t.name!r}")
+        s = slot[t.name]
+        return lambda c: (c[s],) * width
+    if t.op not in base:
+        raise MissingTableError(f"missing table {t.op.value}")
+    b = base[t.op]
+    if (isinstance(t.left, Var) and isinstance(t.right, Var)
+            and t.left.name in columns and t.right.name in columns):
+        index = [b + x * n + y for x, y in zip(columns[t.left.name], columns[t.right.name])]
+        if width == 1:
+            i = index[0]
+            return lambda c: (c[i],)
+        return itemgetter(*index)
+    left = _node(t.left, n, base, slot, columns, width)
+    right = _node(t.right, n, base, slot, columns, width)
+    return lambda c: tuple([c[b + x * n + y] for x, y in zip(left(c), right(c))])
+
+
+def _compile(eq: Equation, n: int, base: Mapping, slot: Mapping):
+    """Checker for ``eq`` on cell vectors where each operation's table starts
+    at ``base[op]`` and each constant sits at ``slot[name]``: it returns the
+    first failing assignment of the other variables, as find_violation
+    does, or None.  At most _MAX_WIDTH assignments are evaluated at once:
+    beyond that, the values of the first variables are looped over and
+    appended to the vector, where they are read like constants."""
+    free = tuple(x for x in variables_of_equation(eq) if x not in slot)
+    split = len(free) - max(k for k in range(len(free) + 1) if n ** k <= _MAX_WIDTH)
+    outer, inner = free[:split], free[split:]
+    slot = {**slot, **{x: j - split for j, x in enumerate(outer)}}
+    columns = _columns(n, len(inner))
+    bound = dict(zip(inner, columns))
+    lhs = _node(eq.lhs, n, base, slot, bound, n ** len(inner))
+    rhs = _node(eq.rhs, n, base, slot, bound, n ** len(inner))
+
+    def check(cells):
+        left, right = lhs(cells), rhs(cells)
+        if left == right:
+            return None
+        i = list(map(ne, left, right)).index(True)
+        return {x: col[i] for x, col in zip(inner, columns)}
+
+    def check_outer(cells):
+        for values in itertools.product(range(n), repeat=split):
+            found = check([*cells, *values])
+            if found is not None:
+                return dict(zip(outer, values)) | found
+        return None
+
+    return check_outer if split else check
+
+
+def _layout(alg: FiniteAlgebra, names) -> tuple:
+    """(base, slot) for the cells of ``alg`` followed by constants ``names``."""
+    n2 = alg.size * alg.size
+    base = {op: i * n2 for i, op in enumerate(alg.ops)}
+    return base, {name: len(base) * n2 + k for k, name in enumerate(names)}
+
+
+def violation_finder(eq: Equation):
+    """``find(alg, constants)`` as ``find_violation(alg, eq, constants)``,
+    compiling ``eq`` once per size, table order and constant names."""
+    compiled = {}
+
+    def find(alg: FiniteAlgebra, constants: Optional[Mapping] = None):
+        fixed = dict(constants) if constants else {}
+        key = (alg.size, alg.ops, *fixed)
+        check = compiled.get(key)
+        if check is None:
+            check = compiled[key] = _compile(eq, alg.size, *_layout(alg, fixed))
+        return check(alg.cells + tuple(fixed.values()))
+
+    return find
+
+
+def eval_term(alg: FiniteAlgebra, t: Term, v: Mapping) -> int:
+    """The value of ``t`` when its variables take the values in ``v``."""
+    base, slot = _layout(alg, v)
+    return _node(t, alg.size, base, slot, {}, 1)(alg.cells + tuple(v.values()))[0]
 
 
 def find_violation(alg: FiniteAlgebra, eq: Equation, constants: Optional[Mapping] = None):
     """First assignment (variables in first-occurrence order, values counted
     up lexicographically) on which the two sides differ, or None."""
-    fixed = dict(constants) if constants else {}
-    free = [x for x in variables_of_equation(eq) if x not in fixed]
-    for values in itertools.product(range(alg.size), repeat=len(free)):
-        env = dict(zip(free, values))
-        env.update(fixed)
-        if eval_term(alg, eq.lhs, env) != eval_term(alg, eq.rhs, env):
-            return {x: env[x] for x in free}
-    return None
+    return violation_finder(eq)(alg, constants)
 
 
 def satisfies(alg: FiniteAlgebra, eq: Equation, constants: Optional[Mapping] = None) -> bool:
@@ -184,7 +287,7 @@ class _Search:
         self.cells = [-1] * self.total
         self.unsat = False
         self.static_by_slot = [[] for _ in range(self.total)]
-        self.general = []  # (equation, free variables) checked at leaves
+        self.general = []  # compiled checkers of the axioms checked at leaves
         op_base = {op: i * self.n2 for i, op in enumerate(ops)}
         self._op_base = op_base
         self._const_slot = {
@@ -195,16 +298,14 @@ class _Search:
             if missing:
                 names = ", ".join(op.value for op in sorted(missing, key=OP_ORDER.index))
                 raise MissingTableError(f"missing table {names}")
-            self._compile(eq)
+            self._index(eq)
 
-    def _free(self, eq: Equation) -> tuple:
-        return tuple(x for x in variables_of_equation(eq) if x not in self._const_slot)
-
-    def _compile(self, eq: Equation):
-        free = self._free(eq)
-        if (len(free) < len(variables_of_equation(eq))
+    def _index(self, eq: Equation):
+        names = variables_of_equation(eq)
+        free = tuple(x for x in names if x not in self._const_slot)
+        if (len(free) < len(names)
                 or term_depth(eq.lhs) > 1 or term_depth(eq.rhs) > 1):
-            self.general.append((eq, free))
+            self.general.append(_compile(eq, self.n, self._op_base, self._const_slot))
             return
         n, op_base = self.n, self._op_base
         for values in itertools.product(range(n), repeat=len(free)):
@@ -236,31 +337,13 @@ class _Search:
             elif kind == "cc":
                 if cells[x] != cells[y]:
                     return False
-            elif not self._fails(x, y):  # "cut": the candidate must fail
+            elif x(cells) is None:  # "cut": the candidate must fail
                 return False
         return True
 
-    def _eval(self, t: Term, env: Mapping) -> int:
-        if isinstance(t, Var):
-            name = t.name
-            if name in self._const_slot:
-                return self.cells[self._const_slot[name]]
-            return env[name]
-        l = self._eval(t.left, env)
-        r = self._eval(t.right, env)
-        return self.cells[self._op_base[t.op] + l * self.n + r]
-
-    def _fails(self, eq: Equation, free: tuple) -> bool:
-        """True iff some assignment of ``free`` makes the sides of ``eq``
-        differ on the current cells."""
-        for values in itertools.product(range(self.n), repeat=len(free)):
-            env = dict(zip(free, values))
-            if self._eval(eq.lhs, env) != self._eval(eq.rhs, env):
-                return True
-        return False
-
     def _leaf_ok(self) -> bool:
-        return not any(self._fails(eq, free) for eq, free in self.general)
+        cells = self.cells
+        return all(check(cells) is None for check in self.general)
 
     def _snapshot(self) -> FiniteAlgebra:
         n, n2 = self.n, self.n2
@@ -290,15 +373,15 @@ class _Search:
         if self.unsat:
             return
         if cand is not None:
-            free = self._free(cand)
+            check = _compile(cand, self.n, self._op_base, self._const_slot)
             ready = max(
                 [self._op_base[op] + self.n2 for op in operations_of_equation(cand)]
                 + [self._const_slot[x] + 1 for x in variables_of_equation(cand)
                    if x in self._const_slot],
                 default=0)
             if ready:
-                self.static_by_slot[ready - 1].append(("cut", cand, free))
-            elif not self._fails(cand, free):
+                self.static_by_slot[ready - 1].append(("cut", check, None))
+            elif check(self.cells) is None:
                 return
         cells, n, total = self.cells, self.n, self.total
         if total == 0:
@@ -416,10 +499,13 @@ def record_line(alg: FiniteAlgebra) -> str:
     return json.dumps(to_record(alg), separators=(",", ":"))
 
 
+_OPS = {op.value: op for op in OP_ORDER}
+
+
 def from_record(rec: Mapping) -> FiniteAlgebra:
     """The algebra a record describes; ValueError for any malformed record."""
     try:
-        ops = {Op(name): table for name, table in rec.get("ops", {}).items()}
+        ops = {_OPS.get(name) or Op(name): table for name, table in rec.get("ops", {}).items()}
         return make_algebra(int(rec["size"]), ops, rec.get("constants", {}))
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed algebra record: {exc}") from exc

@@ -133,18 +133,31 @@ class StructureReport:
 
 
 def classify_op(alg: FiniteAlgebra, op: Op) -> OpReport:
-    comm, comm_w = is_commutative(alg, op)
-    assoc, assoc_w = is_associative(alg, op)
-    latin, latin_w = is_latin_square(alg, op)
-    group, group_r = is_group(alg, op)
-    abelian, abelian_r = is_abelian_group(alg, op)
+    """Every verdict of the predicates above, from one scan of each property
+    over the table and its transpose, with the same witnesses and reasons."""
+    t = tuple(map(tuple, alg.table(op)))
+    cols = tuple(zip(*t))
+    rng = range(alg.size)
+    comm_w = next(((a, b) for a in rng if t[a] != cols[a]
+                   for b in rng if t[a][b] != cols[a][b]), None)
+    assoc_w = next(((a, b, c) for a in rng for b in rng
+                    if t[t[a][b]] != tuple(map(t[a].__getitem__, t[b]))
+                    for c in rng if t[t[a][b]][c] != t[a][t[b][c]]), None)
+    latin_w = next(((kind, i) for kind, lines in (("row", t), ("col", cols))
+                    for i, line in enumerate(lines) if set(line) != set(rng)), None)
+    ids = tuple(e for e in rng if t[e] == cols[e] == tuple(rng))
+    group_r = (f"not associative at {assoc_w}" if assoc_w is not None
+               else "no identity element" if not ids
+               else next((f"no inverse for {a}" for a in rng
+                          if not any(x == ids[0] == y for x, y in zip(t[a], cols[a]))), None))
+    abelian_r = group_r or (comm_w and f"not commutative at {comm_w}")
     return OpReport(
-        commutative=comm, commutative_witness=comm_w,
-        associative=assoc, associative_witness=assoc_w,
-        latin_square=latin, latin_square_witness=latin_w,
-        identity_elements=identity_elements(alg, op),
-        is_group=group, group_reason=group_r,
-        is_abelian_group=abelian, abelian_group_reason=abelian_r,
+        commutative=comm_w is None, commutative_witness=comm_w,
+        associative=assoc_w is None, associative_witness=assoc_w,
+        latin_square=latin_w is None, latin_square_witness=latin_w,
+        identity_elements=ids,
+        is_group=group_r is None, group_reason=group_r,
+        is_abelian_group=abelian_r is None, abelian_group_reason=abelian_r,
     )
 
 

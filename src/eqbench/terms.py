@@ -54,6 +54,12 @@ class Op(Enum):
 
 OP_ORDER = (Op.PROD, Op.LDIV, Op.RDIV)
 
+#: the deepest term the parser accepts.  Printing, substitution, the
+#: structural walks below and evaluation all recurse once or twice per
+#: level, so this keeps every one of them far below Python's recursion
+#: limit; a deeper term is a ParseError.
+MAX_TERM_DEPTH = 100
+
 VARIABLE_ALPHABET = "abcdefghijklmnopqrstuvwxyz"
 _VAR_SET = frozenset(VARIABLE_ALPHABET)
 
@@ -136,7 +142,16 @@ class _Scanner:
         return ch
 
 
-def _parse_divisee(sc: _Scanner) -> Term:
+def _app(sc: _Scanner, op: Op, left: tuple, right: tuple) -> tuple:
+    """(App(op, l, r), its depth) from (term, depth) pairs; ParseError
+    once the depth passes MAX_TERM_DEPTH."""
+    depth = 1 + max(left[1], right[1])
+    if depth > MAX_TERM_DEPTH:
+        raise ParseError(f"term deeper than {MAX_TERM_DEPTH}", sc.text, sc.pos)
+    return App(op, left[0], right[0]), depth
+
+
+def _parse_divisee(sc: _Scanner) -> tuple:
     ch = sc.peek()
     if ch == "(":
         sc.take()
@@ -146,21 +161,21 @@ def _parse_divisee(sc: _Scanner) -> Term:
         sc.take()
         return t
     if ch in _VAR_SET:
-        return Var(sc.take())
+        return Var(sc.take()), 0
     if ch == "":
         raise ParseError("unexpected end of input", sc.text, sc.pos)
     raise ParseError(f"unexpected character {ch!r}", sc.text, sc.pos)
 
 
-def _parse_factor(sc: _Scanner) -> Term:
+def _parse_factor(sc: _Scanner) -> tuple:
     left = _parse_divisee(sc)
     ch = sc.peek()
     if ch == ":":
         sc.take()
-        return App(Op.LDIV, left, _parse_divisee(sc))
+        return _app(sc, Op.LDIV, left, _parse_divisee(sc))
     if ch == "/":
         sc.take()
-        return App(Op.RDIV, left, _parse_divisee(sc))
+        return _app(sc, Op.RDIV, left, _parse_divisee(sc))
     return left
 
 
@@ -168,7 +183,8 @@ def _starts_factor(ch: str) -> bool:
     return ch == "(" or ch in _VAR_SET
 
 
-def _parse_term(sc: _Scanner) -> Term:
+def _parse_term(sc: _Scanner) -> tuple:
+    """(term, depth) of the longest term at the scanner."""
     t = _parse_factor(sc)
     while True:
         ch = sc.peek()
@@ -176,16 +192,16 @@ def _parse_term(sc: _Scanner) -> Term:
             sc.take()
             if not _starts_factor(sc.peek()):
                 raise ParseError("expected a factor after product symbol", sc.text, sc.pos)
-            t = App(Op.PROD, t, _parse_factor(sc))
+            t = _app(sc, Op.PROD, t, _parse_factor(sc))
         elif _starts_factor(ch):
-            t = App(Op.PROD, t, _parse_factor(sc))
+            t = _app(sc, Op.PROD, t, _parse_factor(sc))
         else:
             return t
 
 
 def _parse_side(sc: _Scanner) -> Term:
     try:
-        return _parse_term(sc)
+        return _parse_term(sc)[0]
     except RecursionError:
         raise ParseError("nesting too deep", sc.text, sc.pos) from None
 
@@ -249,35 +265,37 @@ def format_equation(eq: Equation) -> str:
 # ---------------------------------------------------------------------------
 # structural helpers
 
-def variables_of(t: Term) -> tuple:
-    """Distinct variable names in first-occurrence (left-to-right) order."""
+def variables_of(*terms: Term) -> tuple:
+    """Distinct variable names of ``terms`` in first-occurrence
+    (left-to-right) order."""
     seen: dict = {}
-
-    def walk(u: Term):
+    stack = list(reversed(terms))
+    while stack:
+        u = stack.pop()
         if isinstance(u, Var):
-            seen.setdefault(u.name, None)
+            seen.setdefault(u.name)
         else:
-            walk(u.left)
-            walk(u.right)
-
-    walk(t)
+            stack += (u.right, u.left)
     return tuple(seen)
 
 
 def variables_of_equation(eq: Equation) -> tuple:
-    seen = dict.fromkeys(variables_of(eq.lhs))
-    seen.update(dict.fromkeys(variables_of(eq.rhs)))
-    return tuple(seen)
+    return variables_of(eq.lhs, eq.rhs)
 
 
-def operations_of(t: Term) -> frozenset:
-    if isinstance(t, Var):
-        return frozenset()
-    return frozenset({t.op}) | operations_of(t.left) | operations_of(t.right)
+def operations_of(*terms: Term) -> frozenset:
+    ops = set()
+    stack = list(terms)
+    while stack:
+        u = stack.pop()
+        if isinstance(u, App):
+            ops.add(u.op)
+            stack += (u.left, u.right)
+    return frozenset(ops)
 
 
 def operations_of_equation(eq: Equation) -> frozenset:
-    return operations_of(eq.lhs) | operations_of(eq.rhs)
+    return operations_of(eq.lhs, eq.rhs)
 
 
 def term_depth(t: Term) -> int:

@@ -1,0 +1,79 @@
+"""Write the analysis golden, ``analysis_digests.jsonl``, to stdout.
+
+Each line holds the argv of one eqbench command, its exit code and the
+sha256 digest of its stdout.  The commands are the size-3 enumerations
+whose streams feed ``check`` and ``classify`` (C0 raw, C0 up to
+isomorphism, and C0 merged with Mx_neutral), then ``check --system C0``,
+``C1`` and ``C3`` and ``classify``, each in text and records form, over the
+19,683 C0 records.  C1 and C3 fail on most of them, so their lines pin the
+failing equation and witness of every record.  The argument ``{records}``
+stands for a file holding the C0 records.  Regenerate only when a change
+to these outputs is intended:
+
+    PYTHONPATH=src python tests/golden/make_analysis_digests.py \\
+        > tests/golden/analysis_digests.jsonl
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+from eqbench import cli
+
+RECORDS = "{records}"
+
+ENUMERATIONS = (
+    ["enumerate", "--system", "C0", "--size", "3", "--format", "records"],
+    ["enumerate", "--system", "C0", "--size", "3", "--up-to-iso", "--format", "records"],
+    ["enumerate", "--system", "C0", "--system", "Mx_neutral", "--size", "3",
+     "--format", "records"],
+)
+
+ANALYSES = tuple(
+    ["check", "--system", name, "--algebra", RECORDS, "--format", fmt]
+    for name in ("C0", "C1", "C3") for fmt in ("text", "records")
+) + tuple(
+    ["classify", "--algebra", RECORDS, "--format", fmt] for fmt in ("text", "records")
+)
+
+
+def run(argv):
+    """(exit code, stdout) of one in-process eqbench command."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(list(argv))
+    return code, out.getvalue()
+
+
+def row(argv, code, stdout):
+    return json.dumps({"argv": argv, "exit": code,
+                       "stdout_sha256": hashlib.sha256(stdout.encode()).hexdigest()},
+                      separators=(",", ":"))
+
+
+def rows(argvs, records_path):
+    """One golden line per command, with ``{records}`` read as
+    ``records_path``."""
+    for argv in argvs:
+        code, stdout = run([records_path if a == RECORDS else a for a in argv])
+        yield row(argv, code, stdout)
+
+
+def c0_records():
+    return run(ENUMERATIONS[0])[1]
+
+
+def main():
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c0_size3.jsonl"
+        path.write_text(c0_records(), encoding="utf-8")
+        for line in rows(ENUMERATIONS + ANALYSES, str(path)):
+            sys.stdout.write(line + "\n")
+
+
+if __name__ == "__main__":
+    main()

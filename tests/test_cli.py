@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -181,6 +182,15 @@ def test_deeply_nested_identity_is_config_error(capsys, command):
     deep = "(" * 5000 + "a" + ")" * 5000
     code, _, err = run(capsys, command, "--system", "C0", f"{deep} = a")
     assert code == cli.EXIT_CONFIG and "nesting too deep" in err
+
+
+@pytest.mark.parametrize("command,system", [("prove", "C0"), ("refute", "none")])
+def test_juxtaposed_chain_past_depth_limit_is_config_error(capsys, command, system):
+    # a chain of 1,000 factors parses without recursion into a 999-deep term
+    chain = " ".join("a" * 1000)
+    code, _, err = run(capsys, command, "--system", system, f"{chain} = a")
+    assert code == cli.EXIT_CONFIG
+    assert "deeper than" in err and "position" in err
 
 
 def test_refute_empty_system_commutativity(capsys):
@@ -386,6 +396,22 @@ def test_check_reports_each_record_on_its_own_line(tmp_path, capsys):
     assert len(lines) == 2
     assert json.loads(lines[0])["satisfies"] is True
     assert json.loads(lines[1])["satisfies"] is False
+
+
+def test_check_classify_and_enumerate_match_golden_digests(tmp_path, capsys):
+    # regenerate with tests/golden/make_analysis_digests.py only when these
+    # outputs should change; the first line's output, the C0 records, is the
+    # input of the check and classify lines
+    golden = Path(__file__).parent / "golden" / "analysis_digests.jsonl"
+    records = tmp_path / "c0_size3.jsonl"
+    for line in golden.read_text(encoding="utf-8").splitlines():
+        want = json.loads(line)
+        argv = [str(records) if a == "{records}" else a for a in want["argv"]]
+        code, out, _ = run(capsys, *argv)
+        if not records.exists():
+            records.write_text(out, encoding="utf-8")
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert (code, digest) == (want["exit"], want["stdout_sha256"]), want["argv"]
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import random
 
 from eqbench.axioms import make_system, system_ops
 from eqbench.consequence import HoldsUpTo, Refuted, semantic_consequence
-from eqbench.models import EnumOptions, enumerate_models, record_line
+from eqbench.models import EnumOptions, enumerate_models, find_violation, make_algebra, record_line
 from eqbench.terms import (
     App,
     Equation,
@@ -101,3 +101,41 @@ def test_random_systems_match_oracles():
             else:
                 assert verdict == Refuted(*found), f"{sys_} with {cand}"
     assert leaf_checked >= SYSTEMS // 2
+
+
+def _oracle_first_violation(tables, eq, n, fixed):
+    """The first assignment, in itertools.product order over the free
+    variables in first-occurrence order, on which the sides differ."""
+    free = [x for x in variables_of_equation(eq) if x not in fixed]
+    for values in itertools.product(range(n), repeat=len(free)):
+        env = dict(zip(free, values), **fixed)
+        if o_eval(eq.lhs, tables, env) != o_eval(eq.rhs, tables, env):
+            return dict(zip(free, values))
+    return None
+
+
+def test_find_violation_returns_the_first_failing_assignment():
+    rng = random.Random(1874)
+    held = first = last = 0
+    for _ in range(1500):
+        n = rng.choice((1, 2, 3))
+        ops = rng.sample(OP_ORDER, rng.choice((1, 2, 3)))
+        names = rng.sample(["a", "b", "c"], rng.choice((1, 2, 3)))
+        fixed = {"e": rng.randrange(n)} if rng.random() < 0.3 else {}
+        eq = Equation(_random_term(rng, ops, names + list(fixed), 3),
+                      _random_term(rng, ops, names + list(fixed), 3))
+        tables = {op: tuple(tuple(rng.randrange(n) for _ in range(n)) for _ in range(n))
+                  for op in ops}
+        want = _oracle_first_violation(tables, eq, n, fixed)
+        got = find_violation(make_algebra(n, tables), eq, fixed)
+        assert got == want and list(got or ()) == list(want or ()), eq
+        if want is None:
+            held += 1
+        else:
+            free = list(want)
+            index = sum(want[x] * n ** (len(free) - 1 - i) for i, x in enumerate(free))
+            first += index == 0
+            last += index == n ** len(free) - 1 > 0
+    # enough of each case that a changed loop order, or a skipped last
+    # assignment, shows
+    assert min(held, first, last) >= 50 and held + first + last < 1500

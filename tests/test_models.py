@@ -27,6 +27,7 @@ from eqbench.terms import Op, parse_equation, parse_term
 
 from oracles import (
     are_isomorphic,
+    o_eval,
     literal_models,
     oracle_canonical,
     oracle_models,
@@ -77,6 +78,43 @@ def test_eval_missing_table_and_binding():
 
 # ---------------------------------------------------------------------------
 # satisfaction
+
+def test_find_violation_on_equations_wider_than_one_pass():
+    # 8 free variables at size 3 give 6,561 assignments, more than one
+    # vectorized pass takes.  Both sides start with a, and the table is a
+    # left projection but for cells in one row, so the first failure, if
+    # any, has a equal to that row and falls early, midway or late
+    rng = random.Random(8)
+    names = list("abcdefgh")
+    positions = set()
+    for _ in range(15):
+        table = [[x] * 3 for x in range(3)]
+        row = rng.randrange(3)
+        for _ in range(rng.choice((1, 2))):
+            table[row][rng.randrange(3)] = rng.randrange(3)
+        a = alg(3, prod=table)
+        rest = rng.sample(names[1:], 7)
+        eq = parse_equation(" ".join(names) + " = a(" + " ".join(rest) + ")")
+        tables = {Op.PROD: tuple(map(tuple, table))}
+        want = None
+        for i, values in enumerate(itertools.product(range(3), repeat=8)):
+            env = dict(zip(names, values))
+            if o_eval(eq.lhs, tables, env) != o_eval(eq.rhs, tables, env):
+                want = env
+                positions.add(i * 3 // 3 ** 8)
+                break
+        got = find_violation(a, eq)
+        assert got == want and list(got or ()) == list(want or ()), (table, eq)
+        positions.add("held" if got is None else "failed")
+    assert positions == {0, 1, 2, "held", "failed"}
+    # the product is min and x:x = x but for 2:2, so only the last
+    # assignment, every variable 2, fails
+    chain = " ".join(names)
+    meet = alg(3, prod=[[min(x, y) for y in range(3)] for x in range(3)],
+               ldiv=[[0, 0, 0], [0, 1, 0], [0, 0, 0]])
+    assert find_violation(meet, parse_equation(f"{chain} = ({chain}):({chain})")) == \
+        dict.fromkeys(names, 2)
+
 
 def test_satisfies_size_one():
     assert satisfies(alg(1, prod=[[0]]), parse_equation("ab = ba"))
@@ -283,6 +321,74 @@ def test_from_record_rejects_garbage():
         from_record({"size": 2, "ops": {"prod": [[0, 5], [0, 0]]}})
     with pytest.raises(ValueError):
         from_record({"ops": {}})
+
+
+_P2 = [[0, 1], [1, 0]]
+
+# (record, stored prod table and constants, or the error text), as the
+# entry-by-entry int() conversion has always answered
+MALFORMED_RECORDS = {
+    "bool_entries": ({"size": 2, "ops": {"prod": [[True, False], [False, True]]}},
+                     (((1, 0), (0, 1)), ())),
+    "string_entries": ({"size": 2, "ops": {"prod": [["1", "0"], ["0", "1"]]}},
+                       (((1, 0), (0, 1)), ())),
+    "float_whole": ({"size": 2, "ops": {"prod": [[1.0, 0], [0, 1]]}},
+                    (((1, 0), (0, 1)), ())),
+    "float_fraction": ({"size": 2, "ops": {"prod": [[1.5, 0], [0, 1]]}},
+                       (((1, 0), (0, 1)), ())),
+    "row_strings": ({"size": 2, "ops": {"prod": ["01", "10"]}},
+                    (((0, 1), (1, 0)), ())),
+    "string_size": ({"size": "2", "ops": {"prod": _P2}}, (((0, 1), (1, 0)), ())),
+    "string_constant": ({"size": 2, "ops": {"prod": _P2}, "constants": {"e": "1"}},
+                        (((0, 1), (1, 0)), (("e", 1),))),
+    "negative": ({"size": 2, "ops": {"prod": [[-1, 0], [0, 1]]}},
+                 "prod table entry out of range"),
+    "entry_equal_to_size": ({"size": 2, "ops": {"prod": [[2, 0], [0, 1]]}},
+                            "prod table entry out of range"),
+    "huge_entry": ({"size": 2, "ops": {"prod": [[10 ** 30, 0], [0, 1]]}},
+                   "prod table entry out of range"),
+    "ragged": ({"size": 2, "ops": {"prod": [[0, 1], [1]]}}, "prod table must be 2x2"),
+    "too_few_rows": ({"size": 2, "ops": {"prod": [[0, 1]]}}, "prod table must be 2x2"),
+    "too_many_rows": ({"size": 2, "ops": {"prod": [[0, 1], [1, 0], [0, 0]]}},
+                      "prod table must be 2x2"),
+    "string_table": ({"size": 2, "ops": {"prod": "0101"}}, "prod table must be 2x2"),
+    "non_list_table": ({"size": 2, "ops": {"prod": 5}}, "'int' object is not iterable"),
+    "missing_size": ({"ops": {"prod": _P2}}, "'size'"),
+    "non_numeric_in_ragged": ({"size": 2, "ops": {"prod": [[0, 1], ["x"]]}},
+                              "invalid literal for int() with base 10: 'x'"),
+    "none_entry": ({"size": 2, "ops": {"prod": [[0, None], [1, 0]]}},
+                   "int() argument must be a string, a bytes-like object or a real "
+                   "number, not 'NoneType'"),
+    "unknown_operation": ({"size": 2, "ops": {"times": _P2}}, "'times' is not a valid Op"),
+    "empty_carrier": ({"size": 0, "ops": {}}, "carrier must be nonempty"),
+    "constant_out_of_range": ({"size": 2, "ops": {"prod": _P2}, "constants": {"e": 2}},
+                              "constant value out of range"),
+    "second_table_bad": ({"size": 2, "ops": {"prod": _P2, "ldiv": [[0, 3], [1, 0]]}},
+                         "ldiv table entry out of range"),
+    "first_bad_table_wins": ({"size": 2, "ops": {"prod": [[0]], "ldiv": 5}},
+                             "prod table must be 2x2"),
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED_RECORDS)
+def test_from_record_on_odd_and_malformed_input(name):
+    rec, want = MALFORMED_RECORDS[name]
+    if isinstance(want, str):
+        with pytest.raises(ValueError) as err:
+            from_record(rec)
+        assert str(err.value) == f"malformed algebra record: {want}"
+        return
+    got = from_record(rec)
+    assert (got.table(Op.PROD), got.constants) == want
+    assert {type(x) for x in got.cells} == {int}
+    assert from_record(json.loads(record_line(got))) == got
+
+
+def test_make_algebra_accepts_tuples_and_mixed_rows():
+    want = alg(2, prod=_P2)
+    assert make_algebra(2, {Op.PROD: ((0, 1), (1, 0))}) == want
+    assert make_algebra(2, {Op.PROD: [(0, 1), [1, 0]]}) == want
+    assert make_algebra(2, {Op.PROD: (row for row in _P2)}) == want
 
 
 def test_canonical_form_discriminates_size3_sample():

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -5,6 +6,8 @@ import pytest
 from eqbench.axioms import builtin_system, merge
 from eqbench.models import MissingTableError, enumerate_models, make_algebra
 from eqbench.structure import (
+    OpReport,
+    classify_op,
     classify_structure,
     identity_elements,
     is_abelian_group,
@@ -15,7 +18,7 @@ from eqbench.structure import (
     ops_coincide,
     report_record,
 )
-from eqbench.terms import Op
+from eqbench.terms import OP_ORDER, Op
 
 from oracles import scan_flags
 
@@ -86,6 +89,47 @@ def test_all_flags_vs_independent_scanner():
         assert list(identity_elements(a, Op.PROD)) == want["identity_elements"]
         assert is_group(a, Op.PROD)[0] == want["is_group"]
         assert is_abelian_group(a, Op.PROD)[0] == want["is_abelian_group"]
+
+
+def _report_from_predicates(a, op):
+    comm, comm_w = is_commutative(a, op)
+    assoc, assoc_w = is_associative(a, op)
+    latin, latin_w = is_latin_square(a, op)
+    group, group_r = is_group(a, op)
+    abelian, abelian_r = is_abelian_group(a, op)
+    return OpReport(
+        commutative=comm, commutative_witness=comm_w,
+        associative=assoc, associative_witness=assoc_w,
+        latin_square=latin, latin_square_witness=latin_w,
+        identity_elements=identity_elements(a, op),
+        is_group=group, group_reason=group_r,
+        is_abelian_group=abelian, abelian_group_reason=abelian_r,
+    )
+
+
+def test_classify_op_equals_the_public_predicates():
+    # every size-2 table, then a seeded sample of size-3 tables, each under
+    # one of the three operations
+    rng = random.Random(2013)
+    tables = [[list(flat[:2]), list(flat[2:])]
+              for flat in itertools.product(range(2), repeat=4)]
+    tables += [[[rng.randrange(3) for _ in range(3)] for _ in range(3)]
+               for _ in range(2000)]
+    verdicts = set()
+    for i, table in enumerate(tables):
+        n = len(table)
+        op = OP_ORDER[i % 3]
+        a = make_algebra(n, {op: table})
+        got = classify_op(a, op)
+        assert got == _report_from_predicates(a, op), table
+        want = scan_flags(table, n)
+        assert {k: getattr(got, k) for k in want if k != "identity_elements"} == \
+            {k: v for k, v in want.items() if k != "identity_elements"}, table
+        assert list(got.identity_elements) == want["identity_elements"], table
+        verdicts.add((got.group_reason or "group")[:9])
+    # the sample reaches every reason a table can fail to be a group (groups
+    # of order <= 3 are abelian, so "not commutative" cannot occur)
+    assert verdicts == {"group", "not assoc", "no identi", "no invers"}
 
 
 def test_ops_coincide():

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from eqbench.terms import (
+    MAX_TERM_DEPTH,
     App,
     Equation,
     Op,
@@ -89,6 +90,20 @@ def test_parse_errors_carry_position(bad):
     with pytest.raises(ParseError) as err:
         parse_term(bad)
     assert err.value.pos >= 0
+
+
+def test_parse_depth_limit():
+    chain = " ".join("a" * (MAX_TERM_DEPTH + 1))  # left-nested products
+    assert term_depth(parse_term(chain)) == MAX_TERM_DEPTH
+    nested = "a:(" * MAX_TERM_DEPTH + "a" + ")" * MAX_TERM_DEPTH
+    assert term_depth(parse_term(nested)) == MAX_TERM_DEPTH
+    with pytest.raises(ParseError, match="deeper than") as err:
+        parse_term(chain + " a")
+    assert err.value.pos == len(chain) + 2
+    with pytest.raises(ParseError, match="deeper than"):
+        parse_equation("a = (" + nested + ")/a")
+    with pytest.raises(ParseError, match="deeper than"):
+        parse_term(" ".join("a" * 1000))
 
 
 def test_parse_equation_examples():
