@@ -212,16 +212,25 @@ def violation_finder(eq: Equation):
     return find
 
 
+def _in_carrier(alg: FiniteAlgebra, values: Mapping) -> Mapping:
+    """``values``, or IndexError if one lies outside the carrier: a compiled
+    check would read it as an offset into the wrong cells."""
+    if not all(0 <= x < alg.size for x in values.values()):
+        raise IndexError(f"a value of {dict(values)} lies outside the carrier")
+    return values
+
+
 def eval_term(alg: FiniteAlgebra, t: Term, v: Mapping) -> int:
     """The value of ``t`` when its variables take the values in ``v``."""
     base, slot = _layout(alg, v)
-    return _node(t, alg.size, base, slot, {}, 1)(alg.cells + tuple(v.values()))[0]
+    value = _node(t, alg.size, base, slot, {}, 1)
+    return value(alg.cells + tuple(_in_carrier(alg, v).values()))[0]
 
 
 def find_violation(alg: FiniteAlgebra, eq: Equation, constants: Optional[Mapping] = None):
     """First assignment (variables in first-occurrence order, values counted
     up lexicographically) on which the two sides differ, or None."""
-    return violation_finder(eq)(alg, constants)
+    return violation_finder(eq)(alg, constants and _in_carrier(alg, constants))
 
 
 def satisfies(alg: FiniteAlgebra, eq: Equation, constants: Optional[Mapping] = None) -> bool:
@@ -240,9 +249,18 @@ def bind_constants(alg: FiniteAlgebra, sys: AxiomSystem) -> dict:
     return bound
 
 
+_last_system: tuple = (None, ())  # the system satisfies_all last compiled
+
+
 def satisfies_all(alg: FiniteAlgebra, sys: AxiomSystem) -> bool:
+    """True iff every equation of ``sys`` holds; its equations are compiled
+    once for as long as the same system object is passed."""
+    global _last_system
+    last = _last_system
+    if last[0] is not sys:
+        last = _last_system = (sys, tuple(map(violation_finder, sys.equations)))
     bound = bind_constants(alg, sys)
-    return all(satisfies(alg, eq, bound) for eq in sys.equations)
+    return all(find(alg, bound) is None for find in last[1])
 
 
 # ---------------------------------------------------------------------------
@@ -499,13 +517,10 @@ def record_line(alg: FiniteAlgebra) -> str:
     return json.dumps(to_record(alg), separators=(",", ":"))
 
 
-_OPS = {op.value: op for op in OP_ORDER}
-
-
 def from_record(rec: Mapping) -> FiniteAlgebra:
     """The algebra a record describes; ValueError for any malformed record."""
     try:
-        ops = {_OPS.get(name) or Op(name): table for name, table in rec.get("ops", {}).items()}
+        ops = {Op(name): table for name, table in rec.get("ops", {}).items()}
         return make_algebra(int(rec["size"]), ops, rec.get("constants", {}))
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed algebra record: {exc}") from exc

@@ -8,7 +8,6 @@ lexicographically first failing tuple as a witness.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -18,77 +17,39 @@ from .terms import OP_ORDER, Op
 
 def is_commutative(alg: FiniteAlgebra, op: Op):
     """(flag, witness): witness is the first (a, b) with a∘b != b∘a."""
-    t = alg.table(op)
-    n = alg.size
-    for a in range(n):
-        for b in range(n):
-            if t[a][b] != t[b][a]:
-                return False, (a, b)
-    return True, None
+    r = classify_op(alg, op)
+    return r.commutative, r.commutative_witness
 
 
 def is_associative(alg: FiniteAlgebra, op: Op):
     """(flag, witness): witness is the first (a, b, c) breaking (a∘b)∘c = a∘(b∘c)."""
-    t = alg.table(op)
-    n = alg.size
-    for a, b, c in itertools.product(range(n), repeat=3):
-        if t[t[a][b]][c] != t[a][t[b][c]]:
-            return False, (a, b, c)
-    return True, None
+    r = classify_op(alg, op)
+    return r.associative, r.associative_witness
 
 
 def identity_elements(alg: FiniteAlgebra, op: Op) -> tuple:
     """All e with a∘e = e∘a = a for every a (there is at most one, but the
     scan does not assume that)."""
-    t = alg.table(op)
-    n = alg.size
-    return tuple(
-        e for e in range(n)
-        if all(t[a][e] == a and t[e][a] == a for a in range(n))
-    )
+    return classify_op(alg, op).identity_elements
 
 
 def is_latin_square(alg: FiniteAlgebra, op: Op):
     """(flag, witness): each row and column must be a permutation of the
     carrier; the witness names the first offending line."""
-    t = alg.table(op)
-    n = alg.size
-    full = set(range(n))
-    for i in range(n):
-        if set(t[i]) != full:
-            return False, ("row", i)
-    for j in range(n):
-        if {t[i][j] for i in range(n)} != full:
-            return False, ("col", j)
-    return True, None
+    r = classify_op(alg, op)
+    return r.latin_square, r.latin_square_witness
 
 
 def is_group(alg: FiniteAlgebra, op: Op):
     """(flag, reason): associativity, a two-sided identity, and an inverse
     for every element."""
-    ok, witness = is_associative(alg, op)
-    if not ok:
-        return False, f"not associative at {witness}"
-    ids = identity_elements(alg, op)
-    if not ids:
-        return False, "no identity element"
-    e = ids[0]
-    t = alg.table(op)
-    n = alg.size
-    for a in range(n):
-        if not any(t[a][b] == e and t[b][a] == e for b in range(n)):
-            return False, f"no inverse for {a}"
-    return True, None
+    r = classify_op(alg, op)
+    return r.is_group, r.group_reason
 
 
 def is_abelian_group(alg: FiniteAlgebra, op: Op):
-    ok, reason = is_group(alg, op)
-    if not ok:
-        return False, reason
-    ok, witness = is_commutative(alg, op)
-    if not ok:
-        return False, f"not commutative at {witness}"
-    return True, None
+    r = classify_op(alg, op)
+    return r.is_abelian_group, r.abelian_group_reason
 
 
 def ops_coincide(alg: FiniteAlgebra):
@@ -133,8 +94,10 @@ class StructureReport:
 
 
 def classify_op(alg: FiniteAlgebra, op: Op) -> OpReport:
-    """Every verdict of the predicates above, from one scan of each property
-    over the table and its transpose, with the same witnesses and reasons."""
+    """Every property of one table, each scanned once over the table and its
+    transpose.  Witnesses are the lexicographically first failing tuples;
+    the group verdicts fail for the first missing requirement in the order
+    associativity, identity, inverses (then commutativity)."""
     t = tuple(map(tuple, alg.table(op)))
     cols = tuple(zip(*t))
     rng = range(alg.size)

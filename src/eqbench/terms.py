@@ -269,13 +269,16 @@ def variables_of(*terms: Term) -> tuple:
     """Distinct variable names of ``terms`` in first-occurrence
     (left-to-right) order."""
     seen: dict = {}
-    stack = list(reversed(terms))
-    while stack:
-        u = stack.pop()
+
+    def walk(u: Term):
         if isinstance(u, Var):
-            seen.setdefault(u.name)
+            seen.setdefault(u.name, None)
         else:
-            stack += (u.right, u.left)
+            walk(u.left)
+            walk(u.right)
+
+    for t in terms:
+        walk(t)
     return tuple(seen)
 
 
@@ -283,19 +286,14 @@ def variables_of_equation(eq: Equation) -> tuple:
     return variables_of(eq.lhs, eq.rhs)
 
 
-def operations_of(*terms: Term) -> frozenset:
-    ops = set()
-    stack = list(terms)
-    while stack:
-        u = stack.pop()
-        if isinstance(u, App):
-            ops.add(u.op)
-            stack += (u.left, u.right)
-    return frozenset(ops)
+def operations_of(t: Term) -> frozenset:
+    if isinstance(t, Var):
+        return frozenset()
+    return frozenset({t.op}) | operations_of(t.left) | operations_of(t.right)
 
 
 def operations_of_equation(eq: Equation) -> frozenset:
-    return operations_of(eq.lhs, eq.rhs)
+    return operations_of(eq.lhs) | operations_of(eq.rhs)
 
 
 def term_depth(t: Term) -> int:

@@ -76,6 +76,16 @@ def test_eval_missing_table_and_binding():
         eval_term(alg(2, prod=Z2), parse_term("ab"), {"a": 0})
 
 
+def test_values_outside_the_carrier_are_rejected():
+    a = alg(2, prod=Z2, ldiv=Z2)
+    for bad in (2, 3, -1):
+        with pytest.raises(IndexError):
+            eval_term(a, parse_term("ab"), {"a": bad, "b": 0})
+        with pytest.raises(IndexError):
+            find_violation(a, parse_equation("e:a = a"), {"e": bad})
+    assert find_violation(a, parse_equation("e a = a"), {"e": 1}) == {"a": 0}
+
+
 # ---------------------------------------------------------------------------
 # satisfaction
 
@@ -146,6 +156,15 @@ def test_satisfies_all_c0():
     assert satisfies_all(one, builtin_system("C0"))
     z2_triple = alg(2, prod=Z2, ldiv=Z2, rdiv=Z2)  # Z2 is symmetric, so rdiv = prod^T = prod
     assert satisfies_all(z2_triple, builtin_system("C0"))
+
+
+def test_satisfies_all_agrees_with_satisfies_across_systems_and_sizes():
+    c0, neutral = builtin_system("C0"), builtin_system("Mx_neutral")
+    z3 = alg(3, prod=Z3, ldiv=Z3, rdiv=Z3)
+    z2_e = alg(2, prod=Z2, ldiv=LEFT_PROJ, rdiv=Z2, constants={"e": 0})
+    for a, s in [(z3, c0), (z2_e, c0), (z3, c0), (z2_e, neutral), (z2_e, c0)]:
+        assert satisfies_all(a, s) == all(
+            satisfies(a, eq, dict(a.constants)) for eq in s.equations), (a, s.name)
 
 
 def test_satisfies_all_empty_system_vacuous():
