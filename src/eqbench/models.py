@@ -9,11 +9,12 @@ branches and pooled countermodels.
 
 Enumeration fills table cells in a fixed order (tables in canonical operation
 order, row-major, then constants), so the emitted stream is in lexicographic
-order of the serialized (tables, constants) bundle.  Ground instances of
-axioms whose sides have depth <= 1 and name no constant prune a branch as
-soon as their cells are written; axioms of depth 2 or more, and axioms that
-name a constant, are checked only on complete branches.  The same search,
-given a candidate identity, emits only the models that violate it.
+order of the serialized (tables, constants) bundle.  A ground instance of an
+axiom whose sides have depth <= 1 and name no constant fixes the later of its
+cells once the earlier is set, so that cell takes its one possible value and
+further instances on it prune as soon as it is written; other axioms are
+checked only on complete branches.  The same search, given a candidate
+identity, emits only the models that violate it.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import json
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from itertools import chain
-from operator import itemgetter, ne
+from operator import itemgetter, ne, sub
 from typing import Iterator, Mapping, Optional
 
 from .axioms import AxiomSystem, system_ops
@@ -290,8 +291,10 @@ class _Search:
 
     Ground instances of axioms whose sides are depth <= 1 and constant-free
     read statically known cells; each is indexed under the last of its cells
-    in fill order and checked the moment that cell is written.  Every other
-    axiom is checked once a branch is complete.  An instance runs once.
+    in fill order.  A slot's first instance forces it (``cc``: to its earlier
+    cell's value, ``cv``: to a fixed value): the slot takes that one value and
+    is left when the search returns to it.  Its other instances are checked
+    the moment it is written; every other axiom once a branch is complete.
     """
 
     def __init__(self, sys: AxiomSystem, n: int, ops: tuple):
@@ -317,6 +320,12 @@ class _Search:
                 names = ", ".join(op.value for op in sorted(missing, key=OP_ORDER.index))
                 raise MissingTableError(f"missing table {names}")
             self._index(eq)
+        # (source, i): a forced slot's one possible value is source[i]
+        self.forced = [None] * self.total
+        for slot, instances in enumerate(self.static_by_slot):
+            if instances:
+                kind, x, y = instances.pop(0)
+                self.forced[slot] = (self.cells, min(x, y)) if kind == "cc" else (range(self.n), y)
 
     def _index(self, eq: Equation):
         names = variables_of_equation(eq)
@@ -385,8 +394,8 @@ class _Search:
         one more static instance under the last cell it can read, and the
         branch is cut there when it holds.  With ``cand`` and ``max_nodes``,
         raise ResourceLimitError once more nodes than that have been
-        visited; nodes are counted as slots are exhausted, so the cap is
-        noticed at most ``n * total`` nodes late.
+        visited; nodes are counted as slots are exhausted, n per slot, forced
+        or not, so the cap is noticed at most ``n * total`` nodes late.
         """
         if self.unsat:
             return
@@ -401,7 +410,8 @@ class _Search:
                 self.static_by_slot[ready - 1].append(("cut", check, None))
             elif check(self.cells) is None:
                 return
-        cells, n, total = self.cells, self.n, self.total
+        cells, n, total, forced, static = (
+            self.cells, self.n, self.total, self.forced, self.static_by_slot)
         if total == 0:
             if self._leaf_ok():
                 yield self._snapshot()
@@ -411,6 +421,9 @@ class _Search:
         slot = 0
         while True:
             v = cells[slot] + 1
+            if forced[slot] is not None:  # its one value, then back out
+                source, i = forced[slot]
+                v = n if v else source[i]
             if v >= n:
                 cells[slot] = -1
                 slot -= 1
@@ -423,7 +436,7 @@ class _Search:
                         f"exceeded {max_nodes} nodes at size {n}")
                 continue
             cells[slot] = v
-            if not self._static_ok(slot):
+            if static[slot] and not self._static_ok(slot):
                 continue
             if slot == total - 1:
                 if self._leaf_ok():
@@ -467,19 +480,23 @@ def count_models(sys: AxiomSystem, n: int, up_to_iso: bool = False,
 # ---------------------------------------------------------------------------
 # isomorphism
 
-def _relabelings(alg: FiniteAlgebra) -> Iterator[list]:
-    """The entry vector of ``alg`` under every carrier relabeling, the
-    identity first."""
-    n = alg.size
+@lru_cache(maxsize=None)
+def _relabeling_table(n: int, tables: int, constants: int) -> tuple:
+    """(perm, sources) per carrier relabeling, the identity first: entry k of
+    the relabeled entry vector ``v`` (cells, then constants) is ``perm[v[sources[k]]]``."""
+    out = []
     for perm in itertools.permutations(range(n)):
         inv = sorted(range(n), key=perm.__getitem__)
-        out = []
-        for _, table in alg.tables:
-            for i in range(n):
-                row = table[inv[i]]
-                out.extend(perm[row[inv[j]]] for j in range(n))
-        out.extend(perm[v] for _, v in alg.constants)
-        yield out
+        cells = [t * n * n + inv[i] * n + inv[j]
+                 for t in range(tables) for i in range(n) for j in range(n)]
+        out.append((perm, (*cells, *range(tables * n * n, tables * n * n + constants))))
+    return tuple(out)
+
+
+def _relabeled(alg: FiniteAlgebra) -> tuple:
+    """(entry vector of ``alg``, the relabeling table for its shape)."""
+    v = alg.cells + tuple(x for _, x in alg.constants)
+    return v, _relabeling_table(alg.size, len(alg.tables), len(alg.constants))
 
 
 def canonical_form(alg: FiniteAlgebra) -> bytes:
@@ -493,13 +510,17 @@ def canonical_form(alg: FiniteAlgebra) -> bytes:
         ",".join(op.value for op, _ in alg.tables),
         ",".join(name for name, _ in alg.constants),
     )
-    return header.encode() + bytes(min(_relabelings(alg)))
+    v, table = _relabeled(alg)
+    return header.encode() + min(
+        bytes(map(perm.__getitem__, map(v.__getitem__, sources))) for perm, sources in table)
 
 
 def is_canonical(alg: FiniteAlgebra) -> bool:
-    vectors = _relabelings(alg)
-    own = next(vectors)
-    return all(own <= vec for vec in vectors)
+    """True iff no relabeling gives a smaller entry vector."""
+    v, table = _relabeled(alg)
+    return all(  # the first nonzero difference decides each comparison
+        next(filter(None, map(sub, map(perm.__getitem__, map(v.__getitem__, sources)), v)), 0) >= 0
+        for perm, sources in table[1:])
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ lexicographically first failing tuple as a witness.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .models import FiniteAlgebra
 from .terms import OP_ORDER, Op
@@ -67,8 +67,7 @@ def ops_coincide(alg: FiniteAlgebra):
     return True, None
 
 
-@dataclass(frozen=True)
-class OpReport:
+class OpReport(NamedTuple):
     commutative: bool
     commutative_witness: Optional[tuple]
     associative: bool

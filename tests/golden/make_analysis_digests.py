@@ -3,7 +3,10 @@
 Each line holds the argv of one eqbench command, its exit code and the
 sha256 digest of its stdout.  The commands are the size-3 enumerations
 whose streams feed ``check`` and ``classify`` (C0 raw, C0 up to
-isomorphism, and C0 merged with Mx_neutral), then ``check --system C0``,
+isomorphism, and C0 merged with Mx_neutral), then size-3 streams whose
+search paths run through forced cells (the first 25,000 models of C1, C2
+and C3, which exit 3 past that cap, and C0+Mx_neutral and G1 up to
+isomorphism), then ``check --system C0``,
 ``C1`` and ``C3`` and ``classify``, each in text and records form, over the
 19,683 C0 records.  C1 and C3 fail on most of them, so their lines pin the
 failing equation and witness of every record.  The argument ``{records}``
@@ -31,6 +34,13 @@ ENUMERATIONS = (
     ["enumerate", "--system", "C0", "--size", "3", "--up-to-iso", "--format", "records"],
     ["enumerate", "--system", "C0", "--system", "Mx_neutral", "--size", "3",
      "--format", "records"],
+) + tuple(
+    ["enumerate", "--system", name, "--size", "3", "--max-results", "25000",
+     "--format", "records"] for name in ("C1", "C2", "C3")
+) + (
+    ["enumerate", "--system", "C0", "--system", "Mx_neutral", "--size", "3",
+     "--up-to-iso", "--format", "records"],
+    ["enumerate", "--system", "G1", "--size", "3", "--up-to-iso", "--format", "records"],
 )
 
 ANALYSES = tuple(

@@ -4,7 +4,10 @@ Every built-in axiom has depth <= 1, so on its own the suite reaches the
 leaf-check path only through the constant-bearing neutral readings.  Here
 random small systems with depth-2 terms, a constant and random operation
 sets drive enumeration and the countermodel search through both the early
-(static) checks and the leaf checks.
+(static) checks and the leaf checks.  Random constant-free depth-1 systems,
+whose every instance is static, drive it through forced cells, and every
+size-2 bundle and a seeded size-3 sample check the canonical form and the
+canonical test against a brute-force relabeling.
 """
 
 import itertools
@@ -12,7 +15,15 @@ import random
 
 from eqbench.axioms import make_system, system_ops
 from eqbench.consequence import HoldsUpTo, Refuted, semantic_consequence
-from eqbench.models import EnumOptions, enumerate_models, find_violation, make_algebra, record_line
+from eqbench.models import (
+    EnumOptions,
+    canonical_form,
+    enumerate_models,
+    find_violation,
+    is_canonical,
+    make_algebra,
+    record_line,
+)
 from eqbench.terms import (
     App,
     Equation,
@@ -24,7 +35,14 @@ from eqbench.terms import (
     variables_of_equation,
 )
 
-from oracles import literal_models, o_eval, oracle_models
+from oracles import (
+    algebra_tuple,
+    all_tables,
+    literal_models,
+    o_eval,
+    oracle_canonical,
+    oracle_models,
+)
 
 SYSTEMS = 30
 CANDIDATES_PER_SYSTEM = 2
@@ -139,3 +157,63 @@ def test_find_violation_returns_the_first_failing_assignment():
     # enough of each case that a changed loop order, or a skipped last
     # assignment, shows
     assert min(held, first, last) >= 50 and held + first + last < 1500
+
+
+# ---------------------------------------------------------------------------
+# forced cells and canonical forms
+
+def _random_static_system(rng, i):
+    """A constant-free system of depth <= 1 axioms: each ground instance is
+    static, so each one forces the later of its cells or prunes it.  The
+    first axiom has a variable side (``ab = a``-like), whose instances force
+    a cell to a fixed value."""
+    ops = rng.sample(OP_ORDER, rng.choice((1, 2, 3)))
+
+    def app(names):
+        return App(rng.choice(ops), Var(rng.choice(names)), Var(rng.choice(names)))
+
+    # x∘y = x forces a whole table, so most variable sides are idempotence
+    lhs = app(["a"] if rng.random() < 0.6 else ["a", "b"])
+    axioms = [Equation(lhs, Var(rng.choice(sorted(set(variables_of(lhs))))))]
+    for _ in range(rng.choice((0, 1, 1, 2))):
+        lhs = app(["a", "b", "c"])
+        axioms.append(Equation(lhs, app(sorted(set(variables_of(lhs))))))
+    return make_system(f"static{i}", [Equation(eq.rhs, eq.lhs) if rng.random() < 0.5 else eq
+                                      for eq in axioms])
+
+
+def test_forced_cells_match_oracles_on_random_static_systems():
+    rng = random.Random(1995)
+    sizes_3 = 0
+    for i in range(40):
+        sys_ = _random_static_system(rng, i)
+        ops = system_ops(sys_)
+        for n in (1, 2, 3) if len(ops) == 1 else (1, 2):
+            got = [record_line(m) for m in enumerate_models(sys_, n)]
+            want = sorted(record_line(m) for m in oracle_models(sys_, n, ops))
+            assert got == want, f"{sys_} at size {n}"
+            sizes_3 += n == 3
+    assert sizes_3 >= 10
+
+
+def _check_canonical(alg):
+    size, tables, constants = oracle_canonical(alg)
+    entries = [x for _, t in tables for row in t for x in row] + [v for _, v in constants]
+    assert canonical_form(alg).split(b";", 3)[3] == bytes(entries), alg
+    assert is_canonical(alg) == (algebra_tuple(alg) == (size, tables, constants)), alg
+
+
+def test_canonical_form_and_test_match_oracle():
+    # every size-2 bundle of one to three tables, with and without a constant
+    for k in (1, 2, 3):
+        ops = OP_ORDER[:k] if k < 3 else OP_ORDER
+        for combo in itertools.product(all_tables(2), repeat=k):
+            for constants in ({}, {"e": 0}, {"e": 1}):
+                _check_canonical(make_algebra(2, dict(zip(ops, combo)), constants))
+    # seeded size-3 algebras carrying one or two constants
+    rng = random.Random(2003)
+    for _ in range(500):
+        ops = rng.sample(OP_ORDER, rng.choice((1, 2, 3)))
+        tables = {op: [[rng.randrange(3) for _ in range(3)] for _ in range(3)] for op in ops}
+        names = rng.sample(["e", "f"], rng.choice((1, 2)))
+        _check_canonical(make_algebra(3, tables, {x: rng.randrange(3) for x in names}))

@@ -22,6 +22,7 @@ from eqbench.models import (
     satisfies,
     satisfies_all,
     to_record,
+    _Search,
 )
 from eqbench.terms import Op, parse_equation, parse_term
 
@@ -238,6 +239,23 @@ def test_max_results_cap_is_distinct_error():
         for m in stream:
             got.append(m)
     assert len(got) == 5
+
+
+@pytest.mark.parametrize("name, cand, ops, threshold", [
+    ("C0", "a/b = ba", (Op.PROD, Op.LDIV, Op.RDIV), 1_092_402),
+    ("C1", "ab = ba", (Op.PROD, Op.LDIV, Op.RDIV), 2_628),
+    ("C1", "a:b = a/b", (Op.LDIV, Op.RDIV, Op.PROD), 560_961),
+])
+def test_node_cap_fires_at_a_fixed_count(name, cand, ops, threshold):
+    # each candidate holds, so the search runs to its end; a forced slot
+    # counts n nodes when it is left, like a slot that tried every value, so
+    # these thresholds (those of a search without forced cells) stay put
+    def search(max_nodes):
+        return list(_Search(builtin_system(name), 3, ops).run(parse_equation(cand), max_nodes))
+
+    with pytest.raises(ResourceLimitError):
+        search(threshold - 1)
+    assert search(threshold) == []
 
 
 def test_size_limit_needs_override():

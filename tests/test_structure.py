@@ -217,6 +217,10 @@ def test_classify_structure_c0_model():
     report = classify_structure(model)
     assert report.ops_coincide is True
     assert report.op_report(Op.PROD).is_abelian_group
+    # reports are immutable values
+    assert hash(report) == hash(classify_structure(model))
+    with pytest.raises(AttributeError):
+        report.op_report(Op.PROD).commutative = False
 
 
 def test_classify_structure_size_one_everything_true():
