@@ -35,7 +35,7 @@ from .models import (
     DEFAULT_SIZE_LIMIT,
     FiniteAlgebra,
     ResourceLimitError,
-    _Search,
+    _search,
     bind_constants,
     find_violation,
     to_record,
@@ -150,7 +150,7 @@ def _countermodel(sys: AxiomSystem, cand: Equation, n: int, ops: tuple,
     filled with the tables in ``ops`` order, or None.  Putting the
     candidate's tables first decides it earliest and prunes hardest; the
     canonical order gives the first countermodel in enumeration order."""
-    return next(_Search(sys, n, ops).run(cand, max_nodes), None)
+    return next(_search(sys, n, ops, cand, max_nodes), None)
 
 
 def semantic_consequence(sys: AxiomSystem, cand: Equation, max_size: int,

@@ -10,11 +10,13 @@ branches and pooled countermodels.
 Enumeration fills table cells in a fixed order (tables in canonical operation
 order, row-major, then constants), so the emitted stream is in lexicographic
 order of the serialized (tables, constants) bundle.  A ground instance of an
-axiom whose sides have depth <= 1 and name no constant fixes the later of its
-cells once the earlier is set, so that cell takes its one possible value and
-further instances on it prune as soon as it is written; other axioms are
-checked only on complete branches.  The same search, given a candidate
-identity, emits only the models that violate it.
+axiom whose sides have depth <= 1 and name no constant is static: it says
+that its later cell must equal ``source[i]``, an earlier cell of the vector
+or a fixed value of the carrier, and is stored as that one (source, i) pair.
+A cell's first pair gives it its one possible value, and its other pairs
+prune as soon as it is written; other axioms are checked only on complete
+branches.  The same search, given a candidate identity, emits only the
+models that violate it.
 """
 
 from __future__ import annotations
@@ -190,11 +192,11 @@ def _compile(eq: Equation, n: int, base: Mapping, slot: Mapping):
     return check_outer if split else check
 
 
-def _layout(alg: FiniteAlgebra, names) -> tuple:
-    """(base, slot) for the cells of ``alg`` followed by constants ``names``."""
-    n2 = alg.size * alg.size
-    base = {op: i * n2 for i, op in enumerate(alg.ops)}
-    return base, {name: len(base) * n2 + k for k, name in enumerate(names)}
+def _layout(n: int, ops, names) -> tuple:
+    """(base, slot) for size-``n`` tables of ``ops``, one after another and
+    each row-major, followed by constants ``names``."""
+    base = {op: i * n * n for i, op in enumerate(ops)}
+    return base, {name: len(base) * n * n + k for k, name in enumerate(names)}
 
 
 def violation_finder(eq: Equation):
@@ -207,7 +209,7 @@ def violation_finder(eq: Equation):
         key = (alg.size, alg.ops, *fixed)
         check = compiled.get(key)
         if check is None:
-            check = compiled[key] = _compile(eq, alg.size, *_layout(alg, fixed))
+            check = compiled[key] = _compile(eq, alg.size, *_layout(alg.size, alg.ops, fixed))
         return check(alg.cells + tuple(fixed.values()))
 
     return find
@@ -223,7 +225,7 @@ def _in_carrier(alg: FiniteAlgebra, values: Mapping) -> Mapping:
 
 def eval_term(alg: FiniteAlgebra, t: Term, v: Mapping) -> int:
     """The value of ``t`` when its variables take the values in ``v``."""
-    base, slot = _layout(alg, v)
+    base, slot = _layout(alg.size, alg.ops, v)
     value = _node(t, alg.size, base, slot, {}, 1)
     return value(alg.cells + tuple(_in_carrier(alg, v).values()))[0]
 
@@ -286,163 +288,122 @@ def _ordered_ops(sys: AxiomSystem, opts: EnumOptions) -> tuple:
     return tuple(op for op in OP_ORDER if op in wanted)
 
 
-class _Search:
-    """Backtracking search over table cells and constant values.
-
-    Ground instances of axioms whose sides are depth <= 1 and constant-free
-    read statically known cells; each is indexed under the last of its cells
-    in fill order.  A slot's first instance forces it (``cc``: to its earlier
-    cell's value, ``cv``: to a fixed value): the slot takes that one value and
-    is left when the search returns to it.  Its other instances are checked
-    the moment it is written; every other axiom once a branch is complete.
-    """
-
-    def __init__(self, sys: AxiomSystem, n: int, ops: tuple):
-        self.sys = sys
-        self.n = n
-        self.ops = ops
-        self.n2 = n * n
-        self.const_names = sorted(sys.constants)
-        self.table_slots = len(ops) * self.n2
-        self.total = self.table_slots + len(self.const_names)
-        self.cells = [-1] * self.total
-        self.unsat = False
-        self.static_by_slot = [[] for _ in range(self.total)]
-        self.general = []  # compiled checkers of the axioms checked at leaves
-        op_base = {op: i * self.n2 for i, op in enumerate(ops)}
-        self._op_base = op_base
-        self._const_slot = {
-            name: self.table_slots + k for k, name in enumerate(self.const_names)
-        }
-        for eq in sys.equations:
-            missing = operations_of_equation(eq) - set(ops)
-            if missing:
-                names = ", ".join(op.value for op in sorted(missing, key=OP_ORDER.index))
-                raise MissingTableError(f"missing table {names}")
-            self._index(eq)
-        # (source, i): a forced slot's one possible value is source[i]
-        self.forced = [None] * self.total
-        for slot, instances in enumerate(self.static_by_slot):
-            if instances:
-                kind, x, y = instances.pop(0)
-                self.forced[slot] = (self.cells, min(x, y)) if kind == "cc" else (range(self.n), y)
-
-    def _index(self, eq: Equation):
-        names = variables_of_equation(eq)
-        free = tuple(x for x in names if x not in self._const_slot)
-        if (len(free) < len(names)
-                or term_depth(eq.lhs) > 1 or term_depth(eq.rhs) > 1):
-            self.general.append(_compile(eq, self.n, self._op_base, self._const_slot))
-            return
-        n, op_base = self.n, self._op_base
-        for values in itertools.product(range(n), repeat=len(free)):
-            env = dict(zip(free, values))
-
-            def side(t):
-                if isinstance(t, Var):
-                    return ("v", env[t.name])
-                return ("c", op_base[t.op] + env[t.left.name] * n + env[t.right.name])
-
-            a, b = side(eq.lhs), side(eq.rhs)
-            if a[0] == "v" and b[0] == "v":
-                if a[1] != b[1]:
-                    self.unsat = True
-            elif a[0] == "v":
-                self.static_by_slot[b[1]].append(("cv", b[1], a[1]))
-            elif b[0] == "v":
-                self.static_by_slot[a[1]].append(("cv", a[1], b[1]))
-            elif a[1] != b[1]:
-                self.static_by_slot[max(a[1], b[1])].append(("cc", a[1], b[1]))
-
-    def _static_ok(self, slot: int) -> bool:
-        # slots fill strictly in order, so every cell an instance reads is set
-        cells = self.cells
-        for kind, x, y in self.static_by_slot[slot]:
-            if kind == "cv":
-                if cells[x] != y:
-                    return False
-            elif kind == "cc":
-                if cells[x] != cells[y]:
-                    return False
-            elif x(cells) is None:  # "cut": the candidate must fail
-                return False
-        return True
-
-    def _leaf_ok(self) -> bool:
-        cells = self.cells
-        return all(check(cells) is None for check in self.general)
-
-    def _snapshot(self) -> FiniteAlgebra:
-        n, n2 = self.n, self.n2
-        tables = []
-        for i, op in enumerate(self.ops):
-            base = i * n2
-            rows = tuple(
-                tuple(self.cells[base + r * n: base + r * n + n]) for r in range(n)
-            )
-            tables.append((op, rows))
-        consts = tuple(
-            (name, self.cells[self._const_slot[name]]) for name in self.const_names
-        )
-        return FiniteAlgebra(n, tuple(tables), consts)
-
-    def run(self, cand: Optional[Equation] = None,
+def _search(sys: AxiomSystem, n: int, ops: tuple, cand: Optional[Equation] = None,
             max_nodes: Optional[int] = None) -> Iterator[FiniteAlgebra]:
-        """Depth-first stream of models in fill order.
+    """Depth-first stream of the models of ``sys`` of size ``n`` over the
+    tables ``ops``, in fill order.
 
-        With ``cand``, only models on which it fails: the candidate becomes
-        one more static instance under the last cell it can read, and the
-        branch is cut there when it holds.  With ``cand`` and ``max_nodes``,
-        raise ResourceLimitError once more nodes than that have been
-        visited; nodes are counted as slots are exhausted, n per slot, forced
-        or not, so the cap is noticed at most ``n * total`` nodes late.
-        """
-        if self.unsat:
+    Every static ground instance is stored under the later of its slots as
+    one pair (source, i): the slot must equal ``source[i]``, where
+    ``source`` is the cell vector and ``i`` an earlier cell, or ``source``
+    is the carrier and ``i`` a fixed value.  Slots fill strictly in order,
+    so ``source[i]`` is known when the slot is written.  A slot's first pair
+    forces it: the slot takes that one value and is left when the search
+    returns to it.  Its other pairs are compared with the value just
+    written; every other axiom is checked once a branch is complete.
+
+    With ``cand``, only models on which it fails: the candidate is checked
+    at the last slot it can read, and the branch is cut there when it holds.
+    With ``cand`` and ``max_nodes``, raise ResourceLimitError once more nodes
+    than that have been visited; nodes are counted as slots are exhausted, n
+    per slot, forced or not, so the cap is noticed at most ``n * total``
+    nodes late.
+    """
+    n2 = n * n
+    names = sorted(sys.constants)
+    base, slot_of = _layout(n, ops, names)
+    start = len(ops) * n2  # the first constant's slot
+    total = start + len(names)
+    cells = [-1] * total
+    carrier = range(n)
+    forced = [None] * total  # each slot's first pair
+    pairs = [[] for _ in range(total)]  # and its others
+    leaf = []  # compiled checkers of the axioms checked on complete branches
+    unsat = False
+
+    def side(t, env):  # (its cell, or -1 for a variable; its pair)
+        if isinstance(t, Var):
+            return -1, (carrier, env[t.name])
+        cell = base[t.op] + env[t.left.name] * n + env[t.right.name]
+        return cell, (cells, cell)
+
+    for eq in sys.equations:
+        missing = operations_of_equation(eq) - set(ops)
+        if missing:
+            listed = ", ".join(op.value for op in sorted(missing, key=OP_ORDER.index))
+            raise MissingTableError(f"missing table {listed}")
+        free = variables_of_equation(eq)
+        if slot_of.keys() & free or term_depth(eq.lhs) > 1 or term_depth(eq.rhs) > 1:
+            leaf.append(_compile(eq, n, base, slot_of))
+            continue
+        for values in itertools.product(carrier, repeat=len(free)):
+            env = dict(zip(free, values))
+            (low, pair), (high, other) = sorted((side(eq.lhs, env), side(eq.rhs, env)),
+                                                key=itemgetter(0))
+            if high < 0:  # two variables: no model when their values differ
+                unsat = unsat or pair != other
+            elif low != high:
+                if forced[high] is None:
+                    forced[high] = pair
+                else:
+                    pairs[high].append(pair)
+    if unsat:
+        return
+    cut = -1  # the slot whose every value the candidate is checked on
+    if cand is not None:
+        holds = _compile(cand, n, base, slot_of)
+        cut = max([base[op] + n2 for op in operations_of_equation(cand)]
+                  + [slot_of[x] + 1 for x in variables_of_equation(cand) if x in slot_of],
+                  default=0) - 1
+        if cut < 0 and holds(cells) is None:
             return
-        if cand is not None:
-            check = _compile(cand, self.n, self._op_base, self._const_slot)
-            ready = max(
-                [self._op_base[op] + self.n2 for op in operations_of_equation(cand)]
-                + [self._const_slot[x] + 1 for x in variables_of_equation(cand)
-                   if x in self._const_slot],
-                default=0)
-            if ready:
-                self.static_by_slot[ready - 1].append(("cut", check, None))
-            elif check(self.cells) is None:
+
+    def rows(b):  # the rows of the table at ``b``, from a tuple of cells
+        if n == 1:  # itemgetter of one item returns that item, not a tuple
+            return lambda c: (c[b:b + 1],)
+        return itemgetter(*[slice(b + r * n, b + r * n + n) for r in range(n)])
+
+    getters = [(op, rows(b)) for op, b in base.items()]
+
+    def snapshot():
+        c = tuple(cells)
+        return FiniteAlgebra(n, tuple([(op, get(c)) for op, get in getters]),
+                             tuple(zip(names, c[start:])))
+
+    if total == 0:
+        if all(check(cells) is None for check in leaf):
+            yield snapshot()
+        return
+    limit = float("inf") if max_nodes is None else max_nodes
+    last = total - 1
+    nodes = slot = 0
+    while True:
+        v = cells[slot] + 1
+        if forced[slot] is not None:  # its one value, then back out
+            source, i = forced[slot]
+            v = n if v else source[i]
+        if v >= n:
+            cells[slot] = -1
+            slot -= 1
+            if slot < 0:
                 return
-        cells, n, total, forced, static = (
-            self.cells, self.n, self.total, self.forced, self.static_by_slot)
-        if total == 0:
-            if self._leaf_ok():
-                yield self._snapshot()
-            return
-        limit = float("inf") if max_nodes is None else max_nodes
-        nodes = 0
-        slot = 0
-        while True:
-            v = cells[slot] + 1
-            if forced[slot] is not None:  # its one value, then back out
-                source, i = forced[slot]
-                v = n if v else source[i]
-            if v >= n:
-                cells[slot] = -1
-                slot -= 1
-                if slot < 0:
-                    return
-                nodes += n
-                if nodes > limit:
-                    raise ResourceLimitError(
-                        f"countermodel search for {format_equation(cand)!r} "
-                        f"exceeded {max_nodes} nodes at size {n}")
+            nodes += n
+            if nodes > limit:
+                raise ResourceLimitError(
+                    f"countermodel search for {format_equation(cand)!r} "
+                    f"exceeded {max_nodes} nodes at size {n}")
+            continue
+        cells[slot] = v
+        for source, i in pairs[slot]:
+            if source[i] != v:
+                break
+        else:
+            if slot == cut and holds(cells) is None:
                 continue
-            cells[slot] = v
-            if static[slot] and not self._static_ok(slot):
-                continue
-            if slot == total - 1:
-                if self._leaf_ok():
-                    yield self._snapshot()
-            else:
+            if slot < last:
                 slot += 1
+            elif all(check(cells) is None for check in leaf):
+                yield snapshot()
 
 
 def enumerate_models(sys: AxiomSystem, n: int, opts: Optional[EnumOptions] = None
@@ -461,7 +422,7 @@ def enumerate_models(sys: AxiomSystem, n: int, opts: Optional[EnumOptions] = Non
             f"size {n} exceeds the default limit of {DEFAULT_SIZE_LIMIT}; "
             "pass allow_large to override")
     emitted = 0
-    for alg in _Search(sys, n, _ordered_ops(sys, opts)).run():
+    for alg in _search(sys, n, _ordered_ops(sys, opts)):
         if opts.up_to_iso and not is_canonical(alg):
             continue
         if opts.max_results is not None and emitted >= opts.max_results:

@@ -23,6 +23,7 @@ from eqbench.models import (
     is_canonical,
     make_algebra,
     record_line,
+    _search,
 )
 from eqbench.terms import (
     App,
@@ -40,6 +41,7 @@ from oracles import (
     all_tables,
     literal_models,
     o_eval,
+    o_satisfies,
     oracle_canonical,
     oracle_models,
 )
@@ -119,6 +121,23 @@ def test_random_systems_match_oracles():
             else:
                 assert verdict == Refuted(*found), f"{sys_} with {cand}"
     assert leaf_checked >= SYSTEMS // 2
+
+
+def test_cut_streams_match_oracles():
+    # the whole stream of countermodels, not only its first element, with
+    # each system's candidates searched back to back
+    longer = 0
+    for sys_, table_ops, cands in _random_cases():
+        for n in (1, 2):
+            for cand in cands:
+                wanted = table_ops | operations_of_equation(cand)
+                ops = tuple(op for op in OP_ORDER if op in wanted)
+                want = [m for m in oracle_models(sys_, n, ops)
+                        if not o_satisfies(dict(m.tables), cand, n, dict(m.constants))]
+                got = list(_search(sys_, n, ops, cand))
+                assert got == want, f"{sys_} with {cand} at size {n}"
+                longer += len(want) > 1
+    assert longer >= SYSTEMS
 
 
 def _oracle_first_violation(tables, eq, n, fixed):

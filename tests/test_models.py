@@ -5,6 +5,7 @@ import random
 import pytest
 
 from eqbench.axioms import builtin_system, empty_system, make_system
+from eqbench.consequence import HoldsUpTo, Refuted, semantic_consequence
 from eqbench.models import (
     EnumOptions,
     MissingConstantError,
@@ -22,7 +23,7 @@ from eqbench.models import (
     satisfies,
     satisfies_all,
     to_record,
-    _Search,
+    _search,
 )
 from eqbench.terms import Op, parse_equation, parse_term
 
@@ -241,6 +242,30 @@ def test_max_results_cap_is_distinct_error():
     assert len(got) == 5
 
 
+def test_search_edge_paths():
+    # no cells at all: the one table-less algebra
+    assert list(enumerate_models(empty_system(), 2, EnumOptions(ops=frozenset()))) == [
+        make_algebra(2, {})]
+    # an instance between two variables: satisfiable only on one element
+    collapse = make_system("collapse", [parse_equation("a = b")])
+    assert list(enumerate_models(collapse, 1, PROD_ONLY)) == [alg(1, prod=[[0]])]
+    assert list(enumerate_models(collapse, 2, PROD_ONLY)) == []
+    assert list(enumerate_models(collapse, 2)) == []
+    # a candidate that reads no cell is decided before the search starts
+    a_is_b = parse_equation("a = b")
+    first_c0 = next(enumerate_models(builtin_system("C0"), 2))
+    assert semantic_consequence(builtin_system("C0"), a_is_b, 2) == Refuted(
+        first_c0, (("a", 0), ("b", 1)))
+    assert semantic_consequence(empty_system(), a_is_b, 2) == Refuted(
+        make_algebra(2, {}), (("a", 0), ("b", 1)))
+    assert semantic_consequence(builtin_system("C0"), parse_equation("a = a"), 2) == \
+        HoldsUpTo(2)
+    # an unsatisfiable axiom does not hide a later one's missing table
+    both = make_system("both", [parse_equation("a = b"), parse_equation("ab = ba")])
+    with pytest.raises(MissingTableError, match="missing table"):
+        list(enumerate_models(both, 2, EnumOptions(ops=frozenset())))
+
+
 @pytest.mark.parametrize("name, cand, ops, threshold", [
     ("C0", "a/b = ba", (Op.PROD, Op.LDIV, Op.RDIV), 1_092_402),
     ("C1", "ab = ba", (Op.PROD, Op.LDIV, Op.RDIV), 2_628),
@@ -251,7 +276,7 @@ def test_node_cap_fires_at_a_fixed_count(name, cand, ops, threshold):
     # counts n nodes when it is left, like a slot that tried every value, so
     # these thresholds (those of a search without forced cells) stay put
     def search(max_nodes):
-        return list(_Search(builtin_system(name), 3, ops).run(parse_equation(cand), max_nodes))
+        return list(_search(builtin_system(name), 3, ops, parse_equation(cand), max_nodes))
 
     with pytest.raises(ResourceLimitError):
         search(threshold - 1)
