@@ -17,17 +17,22 @@ A cell's first pair gives it its one possible value, and its other pairs
 prune as soon as it is written; other axioms are checked only on complete
 branches.  The same search, given a candidate identity, emits only the
 models that violate it.
+
+The record line format is defined once, by the shape template of an
+algebra's size, tables and constant names: one ``%`` format writes the
+lines, and one pattern, built from the same pieces, checks and reads them.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import re
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from itertools import chain
 from operator import itemgetter, ne, sub
-from typing import Iterator, Mapping, Optional
+from typing import Callable, Iterator, Mapping, Optional
 
 from .axioms import AxiomSystem, system_ops
 from .terms import (
@@ -310,10 +315,9 @@ def _search(sys: AxiomSystem, n: int, ops: tuple, cand: Optional[Equation] = Non
     nodes late.
     """
     n2 = n * n
-    names = sorted(sys.constants)
+    names = tuple(sorted(sys.constants))
     base, slot_of = _layout(n, ops, names)
-    start = len(ops) * n2  # the first constant's slot
-    total = start + len(names)
+    total = len(ops) * n2 + len(names)
     cells = [-1] * total
     carrier = range(n)
     forced = [None] * total  # each slot's first pair
@@ -358,21 +362,11 @@ def _search(sys: AxiomSystem, n: int, ops: tuple, cand: Optional[Equation] = Non
         if cut < 0 and holds(cells) is None:
             return
 
-    def rows(b):  # the rows of the table at ``b``, from a tuple of cells
-        if n == 1:  # itemgetter of one item returns that item, not a tuple
-            return lambda c: (c[b:b + 1],)
-        return itemgetter(*[slice(b + r * n, b + r * n + n) for r in range(n)])
-
-    getters = [(op, rows(b)) for op, b in base.items()]
-
-    def snapshot():
-        c = tuple(cells)
-        return FiniteAlgebra(n, tuple([(op, get(c)) for op, get in getters]),
-                             tuple(zip(names, c[start:])))
+    algebra = shape_template(n, ops, names).algebra
 
     if total == 0:
         if all(check(cells) is None for check in leaf):
-            yield snapshot()
+            yield algebra(())
         return
     limit = float("inf") if max_nodes is None else max_nodes
     last = total - 1
@@ -403,7 +397,7 @@ def _search(sys: AxiomSystem, n: int, ops: tuple, cand: Optional[Equation] = Non
             if slot < last:
                 slot += 1
             elif all(check(cells) is None for check in leaf):
-                yield snapshot()
+                yield algebra(tuple(cells))
 
 
 def enumerate_models(sys: AxiomSystem, n: int, opts: Optional[EnumOptions] = None
@@ -495,8 +489,108 @@ def to_record(alg: FiniteAlgebra) -> dict:
     }
 
 
+def _numeral(n: int) -> str:
+    """Pattern of the numerals 0..n-1 as JSON writes them: no sign, no
+    leading zero."""
+    top = str(n - 1)
+    k = len(top)
+    # the numerals shorter than top
+    alts = ["[0-9]"][:k - 1] + ["[1-9]" + "[0-9]" * j for j in range(1, k - 1)]
+    for i, d in enumerate(top):  # as long: top's first i digits, then a smaller one
+        low = 1 if i == 0 < k - 1 else 0
+        if int(d) > low:
+            alts.append(f"{top[:i]}[{low}-{int(d) - 1}]" + "[0-9]" * (k - 1 - i))
+    return "|".join(alts + [top])
+
+
+@dataclass(frozen=True)
+class ShapeTemplate:
+    """The algebras of size ``size`` with the tables ``ops``, in that order,
+    and the constants ``names``, and their record lines.
+
+    An entry vector holds the cells, table after table, each row-major, then
+    the constants' values.  The format and the patterns are built from the
+    same pieces as ``json.dumps(to_record(alg), separators=(",", ":"))``;
+    the patterns are compiled on first use.
+    """
+
+    size: int
+    ops: tuple
+    names: tuple
+
+    def _record(self, entry: str, literal) -> str:
+        """The record line with ``entry`` for each entry and every other
+        piece passed through ``literal``."""
+        def listed(items):
+            return literal("[") + literal(",").join(items) + literal("]")
+
+        n = self.size
+        table = listed([listed([entry] * n)] * n)
+        return (literal('{"size":%d,"ops":{' % n)
+                + literal(",").join(literal(json.dumps(op.value) + ":") + table
+                                    for op in self.ops)
+                + literal('},"constants":{')
+                + literal(",").join(literal(json.dumps(name) + ":") + entry
+                                    for name in self.names)
+                + literal("}}"))
+
+    @cached_property
+    def format(self) -> str:
+        """``format % entries`` is the record line of an entry vector."""
+        return self._record("%d", lambda s: s.replace("%", "%%"))
+
+    @cached_property
+    def line(self) -> re.Pattern:
+        """Matches exactly the record lines whose entries lie in the carrier,
+        with one group per entry."""
+        return re.compile(self._record("(%s)" % _numeral(self.size), re.escape))
+
+    @cached_property
+    def lines(self) -> re.Pattern:
+        """Matches zero or more such lines, each ending in a newline."""
+        return re.compile("(?:%s\n)*" % self.line.pattern)
+
+    @cached_property
+    def algebra(self) -> Callable[[tuple], FiniteAlgebra]:
+        """The algebra of an entry vector."""
+        n, ops, names = self.size, self.ops, self.names
+        start = len(ops) * n * n
+
+        def rows(b):  # the rows of the table at ``b``
+            if n == 1:  # itemgetter of one item returns that item, not a tuple
+                return lambda c: (c[b:b + 1],)
+            return itemgetter(*[slice(b + r * n, b + r * n + n) for r in range(n)])
+
+        getters = [(op, rows(i * n * n)) for i, op in enumerate(ops)]
+
+        def algebra(c: tuple) -> FiniteAlgebra:
+            alg = FiniteAlgebra(n, tuple([(op, get(c)) for op, get in getters]),
+                                tuple(zip(names, c[start:])))
+            # the values of its cached properties, known here
+            alg.__dict__.update(ops=ops, cells=c[:start])
+            return alg
+
+        return algebra
+
+    def read(self, line: str) -> Optional[FiniteAlgebra]:
+        """The algebra of ``line`` if it is a record line of this shape with
+        every entry in the carrier, else None."""
+        m = self.line.fullmatch(line)
+        return m and self.algebra(tuple(map(int, m.groups())))
+
+
+@lru_cache(maxsize=256)
+def shape_template(n: int, ops: tuple, names: tuple) -> ShapeTemplate:
+    return ShapeTemplate(n, ops, names)
+
+
+def template_of(alg: FiniteAlgebra) -> ShapeTemplate:
+    return shape_template(alg.size, alg.ops, tuple(name for name, _ in alg.constants))
+
+
 def record_line(alg: FiniteAlgebra) -> str:
-    return json.dumps(to_record(alg), separators=(",", ":"))
+    """``alg`` as one line of JSON, the form ``from_record`` reads back."""
+    return template_of(alg).format % (*alg.cells, *(v for _, v in alg.constants))
 
 
 def from_record(rec: Mapping) -> FiniteAlgebra:

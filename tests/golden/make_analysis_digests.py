@@ -9,9 +9,12 @@ and C3, which exit 3 past that cap, and C0+Mx_neutral and G1 up to
 isomorphism), then ``check --system C0``,
 ``C1`` and ``C3`` and ``classify``, each in text and records form, over the
 19,683 C0 records.  C1 and C3 fail on most of them, so their lines pin the
-failing equation and witness of every record.  The argument ``{records}``
-stands for a file holding the C0 records.  Regenerate only when a change
-to these outputs is intended:
+failing equation and witness of every record.  Last come enumerations
+through the cache, each run twice, cold and then warm, in one fresh cache
+directory: C0 records, C0+Mx_neutral text (its records have a constant),
+and the C0 count up to isomorphism.  The argument ``{records}`` stands for
+a file holding the C0 records, and ``{cache}`` for the cache directory of
+that command.  Regenerate only when a change to these outputs is intended:
 
     PYTHONPATH=src python tests/golden/make_analysis_digests.py \\
         > tests/golden/analysis_digests.jsonl
@@ -28,6 +31,7 @@ from pathlib import Path
 from eqbench import cli
 
 RECORDS = "{records}"
+CACHE = "{cache}"
 
 ENUMERATIONS = (
     ["enumerate", "--system", "C0", "--size", "3", "--format", "records"],
@@ -50,6 +54,12 @@ ANALYSES = tuple(
     ["classify", "--algebra", RECORDS, "--format", fmt] for fmt in ("text", "records")
 )
 
+CACHED = tuple(argv + ["--cache-dir", CACHE] for argv in (
+    ["enumerate", "--system", "C0", "--size", "3", "--format", "records"],
+    ["enumerate", "--system", "C0", "--system", "Mx_neutral", "--size", "3", "--format", "text"],
+    ["enumerate", "--system", "C0", "--size", "3", "--up-to-iso", "--count"],
+))
+
 
 def run(argv):
     """(exit code, stdout) of one in-process eqbench command."""
@@ -65,11 +75,15 @@ def row(argv, code, stdout):
                       separators=(",", ":"))
 
 
-def rows(argvs, records_path):
+def rows(argvs, records_path, tmp):
     """One golden line per command, with ``{records}`` read as
-    ``records_path``."""
+    ``records_path`` and ``{cache}`` as a directory under ``tmp`` of that
+    command's own."""
+    caches = {}
     for argv in argvs:
-        code, stdout = run([records_path if a == RECORDS else a for a in argv])
+        cache = caches.setdefault(json.dumps(argv), str(Path(tmp) / f"cache{len(caches)}"))
+        code, stdout = run([records_path if a == RECORDS else cache if a == CACHE else a
+                            for a in argv])
         yield row(argv, code, stdout)
 
 
@@ -81,7 +95,8 @@ def main():
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "c0_size3.jsonl"
         path.write_text(c0_records(), encoding="utf-8")
-        for line in rows(ENUMERATIONS + ANALYSES, str(path)):
+        cold_and_warm = tuple(argv for argv in CACHED for _ in range(2))
+        for line in rows(ENUMERATIONS + ANALYSES + cold_and_warm, str(path), tmp):
             sys.stdout.write(line + "\n")
 
 

@@ -10,7 +10,8 @@ from pathlib import Path
 import pytest
 
 from eqbench import cli
-from eqbench.models import make_algebra, record_line
+from eqbench.axioms import builtin_system, merge
+from eqbench.models import enumerate_models, make_algebra, record_line, to_record
 from eqbench.terms import Op
 
 
@@ -379,6 +380,81 @@ def test_truncated_cache_file_is_a_miss(tmp_path, capsys):
         assert path.read_bytes() == written
 
 
+def test_undecodable_cache_file_is_a_miss(tmp_path, capsys):
+    args = ["enumerate", "--system", "C1", "--size", "2", "--format", "records",
+            "--cache-dir", str(tmp_path)]
+    code, cold, _ = run(capsys, *args)
+    assert code == 0
+    [path] = tmp_path.glob("*.jsonl")
+    written = path.read_bytes()
+    path.write_bytes(b"\xff" + written[1:])
+    code, again, _ = run(capsys, *args)
+    assert code == 0 and again == cold
+    assert path.read_bytes() == written
+
+
+def test_cached_record_of_another_shape_is_a_miss(tmp_path, capsys):
+    args = ["enumerate", "--system", "C1", "--size", "2", "--format", "records",
+            "--cache-dir", str(tmp_path)]
+    code, cold, _ = run(capsys, *args)
+    assert code == 0
+    [path] = tmp_path.glob("*.jsonl")
+    written = path.read_bytes()
+    lines = written.splitlines(keepends=True)
+    # well-formed, and the count in the end marker still right
+    lines[5] = b'{"size":1,"ops":{"prod":[[0]]},"constants":{}}\n'
+    path.write_bytes(b"".join(lines))
+    code, again, _ = run(capsys, *args)
+    assert code == 0 and again == cold
+    assert path.read_bytes() == written
+
+
+def test_cache_hit_serves_every_format(tmp_path, capsys, monkeypatch):
+    base = ["enumerate", "--system", "C0", "--system", "Mx_neutral", "--size", "2"]
+    formats = (["--format", "records"], ["--format", "text"], ["--count"])
+    cold = {fmt[-1]: run(capsys, *base, *fmt) for fmt in formats}
+    assert {out[0] for out in cold.values()} == {0}
+    assert run(capsys, *base, "--count", "--cache-dir", str(tmp_path)) == cold["--count"]
+    # the file holds json.dumps of each record and the count marker
+    [path] = tmp_path.glob("*.jsonl")
+    algebras = list(enumerate_models(merge([builtin_system("C0"),
+                                            builtin_system("Mx_neutral")]), 2))
+    assert algebras and algebras[0].constants
+    assert path.read_text(encoding="utf-8") == "".join(
+        json.dumps(to_record(a), separators=(",", ":")) + "\n" for a in algebras
+    ) + json.dumps({"records": len(algebras)}) + "\n"
+
+    def enumerate_again(*args):
+        raise AssertionError("a cache hit enumerates nothing")
+
+    monkeypatch.setattr(cli, "enumerate_models", enumerate_again)
+    for fmt in formats:
+        assert run(capsys, *base, *fmt, "--cache-dir", str(tmp_path)) == cold[fmt[-1]]
+
+
+@pytest.mark.parametrize("command", [["check", "--system", "C0"], ["classify"]],
+                         ids=["check", "classify"])
+def test_undecodable_records_are_input_errors(tmp_path, capsys, monkeypatch, command):
+    f = tmp_path / "bad.jsonl"
+    f.write_bytes(b'{"size":1,"ops":{"prod":[[0]]},"constants":{}}\n\xff\n')
+    code, out, err = run(capsys, *command, "--algebra", str(f))
+    assert (code, out) == (cli.EXIT_CONFIG, "")
+    assert err.startswith(f"error: {f}: ")
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(f.read_bytes()),
+                                                      encoding="utf-8"))
+    code, out, err = run(capsys, *command, "--algebra", "-")
+    assert (code, out) == (cli.EXIT_CONFIG, "")
+    assert err.startswith("error: -: ")
+
+
+def test_deeply_nested_record_is_input_error(tmp_path, capsys):
+    f = tmp_path / "deep.jsonl"
+    f.write_text("[" * 100000 + "]" * 100000 + "\n")
+    code, out, err = run(capsys, "classify", "--algebra", str(f))
+    assert (code, out) == (cli.EXIT_CONFIG, "")
+    assert err.startswith(f"error: {f}:1: bad algebra record: ")
+
+
 def test_check_reports_each_record_on_its_own_line(tmp_path, capsys):
     f = tmp_path / "two.jsonl"
     f.write_text(
@@ -401,12 +477,16 @@ def test_check_reports_each_record_on_its_own_line(tmp_path, capsys):
 def test_check_classify_and_enumerate_match_golden_digests(tmp_path, capsys):
     # regenerate with tests/golden/make_analysis_digests.py only when these
     # outputs should change; the first line's output, the C0 records, is the
-    # input of the check and classify lines
+    # input of the check and classify lines, and each command with a cache
+    # runs cold and then warm in a directory of its own
     golden = Path(__file__).parent / "golden" / "analysis_digests.jsonl"
     records = tmp_path / "c0_size3.jsonl"
+    caches = {}
     for line in golden.read_text(encoding="utf-8").splitlines():
         want = json.loads(line)
-        argv = [str(records) if a == "{records}" else a for a in want["argv"]]
+        cache = caches.setdefault(json.dumps(want["argv"]), tmp_path / f"cache{len(caches)}")
+        argv = [str(records) if a == "{records}" else str(cache) if a == "{cache}" else a
+                for a in want["argv"]]
         code, out, _ = run(capsys, *argv)
         if not records.exists():
             records.write_text(out, encoding="utf-8")

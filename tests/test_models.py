@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import re
 
 import pytest
 
@@ -22,10 +23,13 @@ from eqbench.models import (
     record_line,
     satisfies,
     satisfies_all,
+    template_of,
     to_record,
+    _numeral,
     _search,
 )
-from eqbench.terms import Op, parse_equation, parse_term
+from eqbench.cli import CliError, _read_algebra_records
+from eqbench.terms import OP_ORDER, Op, parse_equation, parse_term
 
 from oracles import (
     are_isomorphic,
@@ -432,18 +436,62 @@ MALFORMED_RECORDS = {
 }
 
 
+def _read_records(tmp_path, lines):
+    path = tmp_path / "records.jsonl"
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    return _read_algebra_records(str(path))
+
+
 @pytest.mark.parametrize("name", MALFORMED_RECORDS)
-def test_from_record_on_odd_and_malformed_input(name):
+def test_from_record_on_odd_and_malformed_input(tmp_path, name):
     rec, want = MALFORMED_RECORDS[name]
+    # the record reader, meeting the record after a canonical line, agrees
+    lines = [record_line(alg(2, prod=_P2)), json.dumps(rec, separators=(",", ":"))]
     if isinstance(want, str):
         with pytest.raises(ValueError) as err:
             from_record(rec)
         assert str(err.value) == f"malformed algebra record: {want}"
+        with pytest.raises(CliError) as err:
+            _read_records(tmp_path, lines)
+        assert str(err.value) == (f"{tmp_path / 'records.jsonl'}:2: bad algebra record: "
+                                  f"malformed algebra record: {want}")
         return
     got = from_record(rec)
     assert (got.table(Op.PROD), got.constants) == want
     assert {type(x) for x in got.cells} == {int}
     assert from_record(json.loads(record_line(got))) == got
+    assert _read_records(tmp_path, lines) == [alg(2, prod=_P2), got]
+
+
+def test_record_codec_matches_json(tmp_path):
+    rng = random.Random(1895)
+    names = ["e", "%d", "100%", 'say "e"', "back\\slash", "\u00e9l\u00e9ment"]
+    for _ in range(300):
+        n = rng.randint(1, 12)
+        ops = rng.sample(OP_ORDER, rng.randint(0, 3))
+        consts = rng.sample(names, rng.randint(0, 2))
+
+        def draw():
+            return make_algebra(
+                n, {op: [[rng.randrange(n) for _ in range(n)] for _ in range(n)] for op in ops},
+                {name: rng.randrange(n) for name in consts})
+
+        first, second = draw(), draw()
+        lines = [record_line(first), record_line(second)]
+        assert lines == [json.dumps(to_record(a), separators=(",", ":"))
+                         for a in (first, second)]
+        # the second line is read with the pattern of the first one's shape
+        assert template_of(first).read(lines[1]) == second
+        assert _read_records(tmp_path, lines) == [from_record(json.loads(line))
+                                                  for line in lines]
+
+
+def test_numeral_pattern_matches_the_carrier_as_json_writes_it():
+    for n in range(1, 150):
+        pattern = re.compile(_numeral(n))
+        assert [x for x in map(str, range(300)) if pattern.fullmatch(x)] == \
+            [str(x) for x in range(n)], n
+        assert not any(map(pattern.fullmatch, ["00", "01", "-0", "+1", "1.0", "1e0", " 1"]))
 
 
 def test_make_algebra_accepts_tuples_and_mixed_rows():
