@@ -16,6 +16,7 @@ import json
 import os
 import sys as _sys
 import tempfile
+from functools import lru_cache
 from pathlib import Path
 
 from .axioms import (
@@ -57,7 +58,7 @@ from .models import (
     violation_finder,
 )
 from .power import compare, power_record, rank_all, rank_record
-from .structure import classify_structure, is_abelian_group, report_record
+from .structure import StructureReport, classify_structure, is_abelian_group, report_record
 from .terms import Op, ParseError, format_equation, parse_equation
 
 EXIT_OK = 0
@@ -111,22 +112,31 @@ def _parse_ops(arg: str) -> frozenset:
     return frozenset(out)
 
 
-#: the most entries (cells and constants) of a record whose line pattern
-#: the reader compiles: compiling costs from 40 to 400 json reads of a line
+#: the most entries (cells and constants) of a shape whose line patterns
+#: the readers compile: compiling costs from 40 to 400 json reads of a line
 #: of its shape, about 0.03 s at this many entries, and grows faster than
 #: the entries beyond
 _PATTERN_ENTRIES = 512
 
 
+def _patterned(template: ShapeTemplate):
+    """``template`` if its patterns are cheap enough to compile, else None."""
+    entries = len(template.ops) * template.size ** 2 + len(template.names)
+    return template if entries <= _PATTERN_ENTRIES else None
+
+
 def _read_algebra_records(source: str):
-    """The algebras of the record lines in ``source``.  A line is read with
-    the pattern of the shape of the last line that ``json`` read, and by
-    ``json`` when that pattern does not match it."""
+    """Yield the algebra of each record line in ``source`` as its line is
+    read.  A line is read with the pattern of the shape of the last line
+    that ``json`` read, and by ``json`` when that pattern does not match it.
+    A source that is not UTF-8 or holds no record fails before the first
+    algebra, a line that is not a record after the algebras before it."""
     try:
         text = _sys.stdin.read() if source == "-" else Path(source).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise CliError(f"{source}: not UTF-8 text: {exc}")
-    records = []
+    if not text.strip():
+        raise CliError(f"{source}: no algebra records found")
     template = None
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -138,12 +148,8 @@ def _read_algebra_records(source: str):
                 alg = from_record(json.loads(line))
             except (json.JSONDecodeError, ValueError, RecursionError) as exc:
                 raise CliError(f"{source}:{lineno}: bad algebra record: {exc}")
-            entries = len(alg.tables) * alg.size ** 2 + len(alg.constants)
-            template = template_of(alg) if entries <= _PATTERN_ENTRIES else None
-        records.append(alg)
-    if not records:
-        raise CliError(f"{source}: no algebra records found")
-    return records
+            template = _patterned(template_of(alg))
+        yield alg
 
 
 def _emit(record: dict):
@@ -183,9 +189,20 @@ def _read_cache(path: Path, template: ShapeTemplate):
         return None
     end = text.rfind("\n", 0, -1) + 1  # where the marker line starts
     body = text[:end]
-    if text[end:] != _end_marker(body.count("\n")) + "\n" or not template.lines.fullmatch(body):
+    if (text[end:] != _end_marker(body.count("\n")) + "\n"
+            or not (template.lines.fullmatch(body) if _patterned(template) else
+                    all(_is_record_line(template, s) for s in body.split("\n")[:-1]))):
         return None
     return body
+
+
+def _is_record_line(template: ShapeTemplate, line: str) -> bool:
+    """Whether ``line`` is the record line of an algebra of ``template``'s shape."""
+    try:
+        alg = from_record(json.loads(line))
+    except (ValueError, RecursionError):
+        return False
+    return template_of(alg) == template and record_line(alg) == line
 
 
 def _write_cache(path: Path, body: str):
@@ -233,8 +250,9 @@ def cmd_enumerate(args) -> int:
         elif args.format == "records":
             _sys.stdout.write(body)
         else:
+            read = template.read if _patterned(template) else lambda s: from_record(json.loads(s))
             for line in body.splitlines():
-                print(_algebra_text(template.read(line)))
+                print(_algebra_text(read(line)))
         return EXIT_OK
 
     stream = enumerate_models(sys_, args.size, opts)
@@ -252,51 +270,60 @@ def cmd_enumerate(args) -> int:
 # ---------------------------------------------------------------------------
 # check / classify
 
+@lru_cache(maxsize=4096)
+def _check_line(name: str, failed, witness, fmt: str) -> str:
+    """``check``'s answer when ``failed`` is the first equation of system
+    ``name`` to fail (None if none does), at the sorted items ``witness``."""
+    if fmt == "records":
+        return json.dumps({"system": name, "satisfies": failed is None,
+                           "failed_equation": format_equation(failed) if failed else None,
+                           "witness": dict(witness) if witness else None},
+                          separators=(",", ":"))
+    if failed is None:
+        return f"satisfies {name}"
+    at = ", ".join(f"{k}={v}" for k, v in witness)
+    return f"fails {name}: {format_equation(failed)} at {at}"
+
+
 def cmd_check(args) -> int:
     sys_ = _resolve_merged(args.system)
     finders = [(eq, violation_finder(eq)) for eq in sys_.equations]
     code = EXIT_OK
+    lines = []
     for alg in _read_algebra_records(args.algebra):
         bound = bind_constants(alg, sys_)
         failed, witness = next(((eq, w) for eq, find in finders
                                 if (w := find(alg, bound)) is not None), (None, None))
-        ok = failed is None
-        if args.format == "records":
-            _emit({
-                "system": sys_.name,
-                "satisfies": ok,
-                "failed_equation": format_equation(failed) if failed else None,
-                "witness": dict(sorted(witness.items())) if witness else None,
-            })
-        elif ok:
-            print(f"satisfies {sys_.name}")
-        else:
-            at = ", ".join(f"{k}={v}" for k, v in sorted(witness.items()))
-            print(f"fails {sys_.name}: {format_equation(failed)} at {at}")
-        if not ok:
+        if failed is not None:
             code = EXIT_NEGATIVE
+            witness = tuple(sorted(witness.items()))
+        lines.append(_check_line(sys_.name, failed, witness, args.format))
+    print(*lines, sep="\n")
     return code
 
 
+@lru_cache(maxsize=4096)
+def _classify_text(report: StructureReport, fmt: str) -> str:
+    """The answer of ``classify`` on an algebra whose report is ``report``."""
+    if fmt == "records":
+        return json.dumps(report_record(report), separators=(",", ":"))
+    coincide = report.ops_coincide
+    lines = [f"size={report.size} ops_coincide={'n/a' if coincide is None else coincide}"]
+    for op, rep in report.ops:
+        lines.append(
+            f"  {op.value}: not applicable (no table)" if rep is None else
+            f"  {op.value}: commutative={rep.commutative}"
+            f" associative={rep.associative}"
+            f" latin_square={rep.latin_square}"
+            f" identities={list(rep.identity_elements)}"
+            f" group={rep.is_group} abelian_group={rep.is_abelian_group}")
+    return "\n".join(lines)
+
+
 def cmd_classify(args) -> int:
-    for alg in _read_algebra_records(args.algebra):
-        report = classify_structure(alg)
-        if args.format == "records":
-            _emit(report_record(report))
-            continue
-        coincide = report.ops_coincide
-        print(f"size={report.size} ops_coincide="
-              f"{'n/a' if coincide is None else coincide}")
-        for op, rep in report.ops:
-            if rep is None:
-                print(f"  {op.value}: not applicable (no table)")
-                continue
-            print(
-                f"  {op.value}: commutative={rep.commutative}"
-                f" associative={rep.associative}"
-                f" latin_square={rep.latin_square}"
-                f" identities={list(rep.identity_elements)}"
-                f" group={rep.is_group} abelian_group={rep.is_abelian_group}")
+    lines = [_classify_text(classify_structure(alg), args.format)
+             for alg in _read_algebra_records(args.algebra)]
+    print(*lines, sep="\n")
     return EXIT_OK
 
 

@@ -59,6 +59,8 @@ def ops_coincide(alg: FiniteAlgebra):
     prod = alg.table(Op.PROD)
     ldiv = alg.table(Op.LDIV)
     rdiv = alg.table(Op.RDIV)
+    if prod == ldiv and rdiv == tuple(zip(*prod)):
+        return True, None
     n = alg.size
     for a in range(n):
         for b in range(n):

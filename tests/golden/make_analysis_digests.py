@@ -12,9 +12,14 @@ isomorphism), then ``check --system C0``,
 failing equation and witness of every record.  Last come enumerations
 through the cache, each run twice, cold and then warm, in one fresh cache
 directory: C0 records, C0+Mx_neutral text (its records have a constant),
-and the C0 count up to isomorphism.  The argument ``{records}`` stands for
-a file holding the C0 records, and ``{cache}`` for the cache directory of
-that command.  Regenerate only when a change to these outputs is intended:
+and the C0 count up to isomorphism.  Last of all come ``classify`` in text
+and records form over a mixed file: the first 25,000 C1 models (whose
+tables differ), the C0+Mx_neutral models (with a constant), G1 up to
+isomorphism (the product alone) and the C0 models of size 2, one stream
+after another.  The argument ``{records}`` stands for a file holding the C0
+records, ``{mixed}`` for the mixed file, and ``{cache}`` for the cache
+directory of that command.  Regenerate only when a change to these outputs
+is intended:
 
     PYTHONPATH=src python tests/golden/make_analysis_digests.py \\
         > tests/golden/analysis_digests.jsonl
@@ -31,6 +36,7 @@ from pathlib import Path
 from eqbench import cli
 
 RECORDS = "{records}"
+MIXED = "{mixed}"
 CACHE = "{cache}"
 
 ENUMERATIONS = (
@@ -61,6 +67,15 @@ CACHED = tuple(argv + ["--cache-dir", CACHE] for argv in (
 ))
 
 
+#: the enumerations whose streams, one after another, make the mixed file
+MIXED_PARTS = (ENUMERATIONS[3], ENUMERATIONS[2], ENUMERATIONS[7],
+               ["enumerate", "--system", "C0", "--size", "2", "--format", "records"])
+
+MIXED_ANALYSES = tuple(
+    ["classify", "--algebra", MIXED, "--format", fmt] for fmt in ("text", "records")
+)
+
+
 def run(argv):
     """(exit code, stdout) of one in-process eqbench command."""
     out = io.StringIO()
@@ -75,15 +90,14 @@ def row(argv, code, stdout):
                       separators=(",", ":"))
 
 
-def rows(argvs, records_path, tmp):
-    """One golden line per command, with ``{records}`` read as
-    ``records_path`` and ``{cache}`` as a directory under ``tmp`` of that
-    command's own."""
+def rows(argvs, files, tmp):
+    """One golden line per command, with ``{records}`` and ``{mixed}`` read
+    as the paths ``files`` maps them to and ``{cache}`` as a directory under
+    ``tmp`` of that command's own."""
     caches = {}
     for argv in argvs:
         cache = caches.setdefault(json.dumps(argv), str(Path(tmp) / f"cache{len(caches)}"))
-        code, stdout = run([records_path if a == RECORDS else cache if a == CACHE else a
-                            for a in argv])
+        code, stdout = run([files.get(a, cache if a == CACHE else a) for a in argv])
         yield row(argv, code, stdout)
 
 
@@ -91,12 +105,18 @@ def c0_records():
     return run(ENUMERATIONS[0])[1]
 
 
+def mixed_records():
+    return "".join(run(argv)[1] for argv in MIXED_PARTS)
+
+
 def main():
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "c0_size3.jsonl"
-        path.write_text(c0_records(), encoding="utf-8")
+        files = {RECORDS: Path(tmp) / "c0_size3.jsonl", MIXED: Path(tmp) / "mixed.jsonl"}
+        files[RECORDS].write_text(c0_records(), encoding="utf-8")
+        files[MIXED].write_text(mixed_records(), encoding="utf-8")
         cold_and_warm = tuple(argv for argv in CACHED for _ in range(2))
-        for line in rows(ENUMERATIONS + ANALYSES + cold_and_warm, str(path), tmp):
+        argvs = ENUMERATIONS + ANALYSES + cold_and_warm + MIXED_ANALYSES
+        for line in rows(argvs, {k: str(v) for k, v in files.items()}, tmp):
             sys.stdout.write(line + "\n")
 
 

@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import io
 import json
 import os
@@ -11,7 +12,8 @@ import pytest
 
 from eqbench import cli
 from eqbench.axioms import builtin_system, merge
-from eqbench.models import enumerate_models, make_algebra, record_line, to_record
+from eqbench.models import (enumerate_models, from_record, make_algebra, record_line,
+                             template_of, to_record)
 from eqbench.terms import Op
 
 
@@ -132,6 +134,35 @@ def test_check_missing_table_is_input_error(tmp_path, capsys):
     code, _, err = run(capsys, "check", "--system", "C0", "--algebra", str(f))
     assert code == cli.EXIT_CONFIG
     assert "missing table ldiv" in err
+
+
+_ONE = '{"size":1,"ops":{"prod":[[0]],"ldiv":[[0]],"rdiv":[[0]]},"constants":%s}\n'
+_PROD_ONLY = '{"size":1,"ops":{"prod":[[0]]},"constants":{}}\n'
+
+
+@pytest.mark.parametrize("system,first,err", [
+    ("C0", _ONE % "{}", "error: missing table ldiv\n"),
+    ("Mx_neutral", _ONE % '{"e":0}',
+     "error: system 'Mx_neutral' names constant 'e' but the algebra does not define it\n"),
+], ids=["missing_table", "missing_constant"])
+def test_check_input_error_after_a_good_record_leaves_stdout_empty(tmp_path, capsys,
+                                                                   system, first, err):
+    f = tmp_path / "two.jsonl"
+    f.write_text(first + _PROD_ONLY)
+    assert run(capsys, "check", "--system", system, "--algebra", str(f)) == (
+        cli.EXIT_CONFIG, "", err)
+
+
+def test_check_reports_the_first_input_error_in_input_order(tmp_path, capsys):
+    # a record lacking a table the system needs, and a line that is no record
+    f = tmp_path / "both.jsonl"
+    f.write_text(_ONE % "{}" + _PROD_ONLY + "not json\n")
+    assert run(capsys, "check", "--system", "C0", "--algebra", str(f)) == (
+        cli.EXIT_CONFIG, "", "error: missing table ldiv\n")
+    f.write_text(_ONE % "{}" + "not json\n" + _PROD_ONLY)
+    code, out, err = run(capsys, "check", "--system", "C0", "--algebra", str(f))
+    assert (code, out) == (cli.EXIT_CONFIG, "")
+    assert err.startswith(f"error: {f}:2: bad algebra record: ")
 
 
 def test_check_failure_reports_witness_and_exit1(tmp_path, capsys):
@@ -294,6 +325,31 @@ def test_classify_piped_c0_models_all_coincide(capsys, monkeypatch):
         assert json.loads(line)["ops_coincide"] is True
 
 
+def test_check_and_classify_answer_the_same_from_a_file_and_stdin(tmp_path, capsys,
+                                                                 monkeypatch):
+    def records(*argv):
+        code, out, _ = run(capsys, "enumerate", *argv, "--format", "records")
+        assert code == 0
+        return out
+
+    c0 = records("--system", "C0", "--size", "2")
+    # tables that differ, a constant, and records with the product alone
+    mixed = (records("--system", "C1", "--size", "2", "--max-results", "200")
+             + records("--system", "C0", "--system", "Mx_neutral", "--size", "2")
+             + records("--system", "G1", "--size", "3", "--up-to-iso") + c0)
+    for name, text in (("c0", c0), ("mixed", mixed)):
+        f = tmp_path / f"{name}.jsonl"
+        f.write_text(text, encoding="utf-8")
+        for command in (["check", "--system", "C1"], ["classify"]):
+            for fmt in ("text", "records"):
+                argv = [*command, "--format", fmt, "--algebra"]
+                from_file = run(capsys, *argv, str(f))
+                monkeypatch.setattr("sys.stdin", io.StringIO(text))
+                assert run(capsys, *argv, "-") == from_file, (name, argv)
+                # answers, or C1's missing-table error on the G1 records
+                assert from_file[1] or from_file[0] == cli.EXIT_CONFIG
+
+
 # ---------------------------------------------------------------------------
 # audit
 
@@ -409,6 +465,27 @@ def test_cached_record_of_another_shape_is_a_miss(tmp_path, capsys):
     assert path.read_bytes() == written
 
 
+def test_warm_hit_on_a_large_shape_compiles_no_pattern(tmp_path, capsys):
+    # size 40 has 4,800 cells, past the shapes whose patterns are compiled
+    axioms = tmp_path / "projections.eq"
+    axioms.write_text("ab = a\na:b = a\na/b = a\n")
+    base = ["enumerate", "--system", str(axioms), "--size", "40", "--allow-large"]
+    formats = (("--format", "records"), ("--format", "text"), ("--count",))
+    cold = {fmt: run(capsys, *base, *fmt) for fmt in formats}
+    template = template_of(from_record(json.loads(cold["--format", "records"][1])))
+    cache = ["--cache-dir", str(tmp_path / "cache")]
+    for _ in range(2):  # cold, then warm
+        for fmt, want in cold.items():
+            assert run(capsys, *base, *fmt, *cache) == want
+    assert "lines" not in vars(template) and "line" not in vars(template)
+    # a line that json reads but that is not the record line as written is a miss
+    [path] = (tmp_path / "cache").glob("*.jsonl")
+    written = path.read_text(encoding="utf-8")
+    path.write_text(written.replace('"size":40,', '"size": 40,', 1), encoding="utf-8")
+    assert run(capsys, *base, "--count", *cache) == cold[("--count",)]
+    assert path.read_text(encoding="utf-8") == written
+
+
 def test_cache_hit_serves_every_format(tmp_path, capsys, monkeypatch):
     base = ["enumerate", "--system", "C0", "--system", "Mx_neutral", "--size", "2"]
     formats = (["--format", "records"], ["--format", "text"], ["--count"])
@@ -477,17 +554,25 @@ def test_check_reports_each_record_on_its_own_line(tmp_path, capsys):
 def test_check_classify_and_enumerate_match_golden_digests(tmp_path, capsys):
     # regenerate with tests/golden/make_analysis_digests.py only when these
     # outputs should change; the first line's output, the C0 records, is the
-    # input of the check and classify lines, and each command with a cache
-    # runs cold and then warm in a directory of its own
-    golden = Path(__file__).parent / "golden" / "analysis_digests.jsonl"
-    records = tmp_path / "c0_size3.jsonl"
+    # input of the check and classify lines, the streams the script names
+    # make the mixed file, and each command with a cache runs cold and then
+    # warm in a directory of its own
+    golden = Path(__file__).parent / "golden"
+    spec = importlib.util.spec_from_file_location(
+        "make_analysis_digests", golden / "make_analysis_digests.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    records, mixed = tmp_path / "c0_size3.jsonl", tmp_path / "mixed.jsonl"
     caches = {}
-    for line in golden.read_text(encoding="utf-8").splitlines():
+    for line in (golden / "analysis_digests.jsonl").read_text(encoding="utf-8").splitlines():
         want = json.loads(line)
         cache = caches.setdefault(json.dumps(want["argv"]), tmp_path / f"cache{len(caches)}")
-        argv = [str(records) if a == "{records}" else str(cache) if a == "{cache}" else a
-                for a in want["argv"]]
-        code, out, _ = run(capsys, *argv)
+        if script.MIXED in want["argv"] and not mixed.exists():
+            mixed.write_text("".join(run(capsys, *argv)[1] for argv in script.MIXED_PARTS),
+                             encoding="utf-8")
+        files = {script.RECORDS: str(records), script.MIXED: str(mixed),
+                 script.CACHE: str(cache)}
+        code, out, _ = run(capsys, *[files.get(a, a) for a in want["argv"]])
         if not records.exists():
             records.write_text(out, encoding="utf-8")
         digest = hashlib.sha256(out.encode()).hexdigest()

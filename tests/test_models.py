@@ -439,7 +439,7 @@ MALFORMED_RECORDS = {
 def _read_records(tmp_path, lines):
     path = tmp_path / "records.jsonl"
     path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
-    return _read_algebra_records(str(path))
+    return list(_read_algebra_records(str(path)))
 
 
 @pytest.mark.parametrize("name", MALFORMED_RECORDS)
