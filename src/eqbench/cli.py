@@ -16,6 +16,7 @@ import json
 import os
 import sys as _sys
 import tempfile
+from contextlib import nullcontext
 from functools import lru_cache
 from pathlib import Path
 
@@ -127,29 +128,30 @@ def _patterned(template: ShapeTemplate):
 
 def _read_algebra_records(source: str):
     """Yield the algebra of each record line in ``source`` as its line is
-    read.  A line is read with the pattern of the shape of the last line
-    that ``json`` read, and by ``json`` when that pattern does not match it.
-    A source that is not UTF-8 or holds no record fails before the first
-    algebra, a line that is not a record after the algebras before it."""
+    read from the open file or stdin.  A line is read with the pattern of
+    the shape of the last line that ``json`` read, and by ``json`` when that
+    pattern does not match it.  A line that is not a record or not UTF-8
+    fails after the algebras before it, and a source that holds no record
+    fails at its end."""
+    template = alg = None
     try:
-        text = _sys.stdin.read() if source == "-" else Path(source).read_text(encoding="utf-8")
+        with nullcontext(_sys.stdin) if source == "-" else open(source, encoding="utf-8") as f:
+            for lineno, line in enumerate(f, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                alg = template and template.read(line)
+                if alg is None:
+                    try:
+                        alg = from_record(json.loads(line))
+                    except (json.JSONDecodeError, ValueError, RecursionError) as exc:
+                        raise CliError(f"{source}:{lineno}: bad algebra record: {exc}")
+                    template = _patterned(template_of(alg))
+                yield alg
     except UnicodeDecodeError as exc:
         raise CliError(f"{source}: not UTF-8 text: {exc}")
-    if not text.strip():
+    if alg is None:
         raise CliError(f"{source}: no algebra records found")
-    template = None
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        alg = template and template.read(line)
-        if alg is None:
-            try:
-                alg = from_record(json.loads(line))
-            except (json.JSONDecodeError, ValueError, RecursionError) as exc:
-                raise CliError(f"{source}:{lineno}: bad algebra record: {exc}")
-            template = _patterned(template_of(alg))
-        yield alg
 
 
 def _emit(record: dict):
@@ -551,7 +553,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("prove", help="derive an identity from a system")
     _add_system(p)
     p.add_argument("identity", help="candidate identity, e.g. 'ab = b/a'")
-    p.add_argument("--max-term-depth", type=_positive_int, default=3)
+    p.add_argument("--max-term-depth", type=_positive_int, default=3,
+                   help="deepest term a proof may pass through (default 3); an "
+                        "identity with a side deeper than this is not derived "
+                        "and exits 1, so raise it to at least that depth")
     p.add_argument("--max-steps", type=_positive_int, default=8)
     _add_format(p)
     p.set_defaults(func=cmd_prove)

@@ -2,9 +2,8 @@
 
 Two complementary engines:
 
-* ``semantic_consequence`` hunts for a countermodel among the finite models
-  of the system up to a size bound.  No countermodel up to size k is
-  reported as HoldsUpTo(k), never as proved.
+* the countermodel search (``models._search``) hunts for a finite model of
+  the system on which the identity fails;
 * ``derive`` searches for an equational derivation (reflexivity, symmetry,
   transitivity, congruence, substitution, axiom instances) within term-depth
   and step budgets, returning a replayable proof object.  Its work goes into
@@ -13,15 +12,16 @@ Two complementary engines:
   pass the depth cap is rejected on the depth of the new subterm before the
   new term is built.
 
-``consequence_set`` combines them.  Each candidate is decided by the first
-step that settles it: the countermodels already found for the system in the
-same call (the pool), then a countermodel search at sizes 1 and 2, then
+One function, ``_refuting_size``, combines them, and both
+``semantic_consequence`` and ``consequence_set`` decide through it.  Each
+candidate is decided by the first step that settles it: the countermodels
+already found for the system in the same call (the pool, empty for
+``semantic_consequence``), then a countermodel search at sizes 1 and 2, then
 ``derive`` (only when the size bound is at least 3), and last a search at
-sizes 3 up to the bound.  Every countermodel a search finds joins the pool.
-Since derivations are sound, a proved candidate holds in every model, so the
-set equals the candidates that ``semantic_consequence`` reports as
-HoldsUpTo(model_size), while a proof spares a holding candidate the
-exhaustive size-3 search.
+sizes 3 up to the bound.  Since derivations are sound, a proved candidate
+holds in every model, and a proof spares it the exhaustive size-3 search.
+It is still reported as HoldsUpTo(k), never as proved, and a refutation is
+the first countermodel in enumeration order at the smallest size.
 """
 
 from __future__ import annotations
@@ -137,35 +137,48 @@ def _search_ops(sys: AxiomSystem, cand: Equation) -> tuple:
     return tuple(op for op in OP_ORDER if op in wanted)
 
 
-def _cand_first_ops(sys: AxiomSystem, cand: Equation) -> tuple:
-    ops = _search_ops(sys, cand)
-    cand_ops = operations_of_equation(cand)
-    return tuple(op for op in ops if op in cand_ops) + tuple(
-        op for op in ops if op not in cand_ops)
+def _refuting_size(sys: AxiomSystem, cand: Equation, max_size: int, pool: list,
+                   max_nodes: int = DEFAULT_SEARCH_NODES) -> Optional[int]:
+    """The size of a model of ``sys`` of size <= ``max_size`` on which
+    ``cand`` fails, or None when it holds in every such model; the smallest
+    such size when ``pool`` is empty.
 
-
-def _countermodel(sys: AxiomSystem, cand: Equation, n: int, ops: tuple,
-                  max_nodes: int) -> Optional[FiniteAlgebra]:
-    """The first model of size ``n`` violating ``cand`` when cells are
-    filled with the tables in ``ops`` order, or None.  Putting the
-    candidate's tables first decides it earliest and prunes hardest; the
-    canonical order gives the first countermodel in enumeration order."""
-    return next(_search(sys, n, ops, cand, max_nodes), None)
+    The steps run in the order the module docstring gives.  ``pool`` holds
+    the (countermodel, its tables, its constants) triples found so far, and
+    a countermodel a search finds joins it.
+    """
+    needed = operations_of_equation(cand)
+    find = violation_finder(cand)
+    for alg, ops, bound in pool:
+        if needed <= ops and find(alg, bound) is not None:
+            return alg.size
+    # the candidate's tables first decide it earliest and prune hardest
+    ops = tuple(sorted(_search_ops(sys, cand), key=lambda op: op not in needed))
+    for k in range(1, max_size + 1):
+        # derive runs to its budgets on identities that do not follow, so it
+        # only sees the candidates the cheap refutations left standing
+        if k == 3 and isinstance(derive(sys, cand), Proved):
+            return None
+        alg = next(_search(sys, k, ops, cand, max_nodes), None)
+        if alg is not None:
+            pool.append((alg, set(alg.ops), bind_constants(alg, sys)))
+            return k
+    return None
 
 
 def semantic_consequence(sys: AxiomSystem, cand: Equation, max_size: int,
                          allow_large: bool = False,
                          max_nodes: int = DEFAULT_SEARCH_NODES) -> Verdict:
-    """Refuted with the first countermodel in enumeration order, or
-    HoldsUpTo(max_size) when no model of size <= max_size violates ``cand``."""
+    """Refuted with the first countermodel in enumeration order at the
+    smallest size, or HoldsUpTo(max_size) when no model of size <= max_size
+    violates ``cand``, decided as the consequence sets decide it."""
     _check_size(max_size, allow_large)
-    for k in range(1, max_size + 1):
-        # existence first (aggressively pruned), then the lex-least witness
-        if _countermodel(sys, cand, k, _cand_first_ops(sys, cand), max_nodes) is not None:
-            alg = _countermodel(sys, cand, k, _search_ops(sys, cand), max_nodes)
-            witness = find_violation(alg, cand, bind_constants(alg, sys))
-            return Refuted(alg, tuple(sorted(witness.items())))
-    return HoldsUpTo(max_size)
+    k = _refuting_size(sys, cand, max_size, [], max_nodes)
+    if k is None:
+        return HoldsUpTo(max_size)
+    alg = next(_search(sys, k, _search_ops(sys, cand), cand, max_nodes))
+    witness = find_violation(alg, cand, bind_constants(alg, sys))
+    return Refuted(alg, tuple(sorted(witness.items())))
 
 
 def _check_size(max_size: int, allow_large: bool):
@@ -214,35 +227,9 @@ def consequence_set(sys: AxiomSystem, space: Optional[CandidateSpace] = None,
     """Candidates holding in every model of ``sys`` up to ``model_size``,
     i.e. the bounded proxy for the system's deductive strength."""
     _check_size(model_size, allow_large)
-    space = space or CandidateSpace()
-    pool = []  # (countermodel, its tables, its constants) found so far
-
-    def refuted_by_search(cand: Equation, sizes: range) -> bool:
-        for k in sizes:
-            alg = _countermodel(sys, cand, k, _cand_first_ops(sys, cand),
-                                DEFAULT_SEARCH_NODES)
-            if alg is not None:
-                pool.append((alg, set(alg.ops), bind_constants(alg, sys)))
-                return True
-        return False
-
-    def holds(cand: Equation) -> bool:
-        needed = operations_of_equation(cand)
-        find = violation_finder(cand)
-        for alg, ops, bound in pool:
-            if needed <= ops and find(alg, bound) is not None:
-                return False
-        if refuted_by_search(cand, range(1, min(2, model_size) + 1)):
-            return False
-        if model_size < 3:
-            return True
-        # derive runs to its budgets on identities that do not follow, so it
-        # only sees the candidates the cheap refutations above left standing
-        if isinstance(derive(sys, cand), Proved):
-            return True
-        return not refuted_by_search(cand, range(3, model_size + 1))
-
-    return tuple(eq for eq in candidate_identities(space) if holds(eq))
+    pool = []
+    return tuple(eq for eq in candidate_identities(space or CandidateSpace())
+                 if _refuting_size(sys, eq, model_size, pool) is None)
 
 
 # ---------------------------------------------------------------------------
@@ -377,6 +364,8 @@ def derive(sys: AxiomSystem, cand: Equation,
     rewrite past the depth cap is rejected before its term is built.  Proved
     verdicts carry a derivation that has been replayed through
     validate_derivation; exhausted budgets give Unknown, never an error.
+    A candidate with a side deeper than ``max_term_depth`` is Unknown at
+    once, unless its two sides are the same term.
     """
     budgets = budgets or DeriveBudgets()
     bounds = (
@@ -388,18 +377,14 @@ def derive(sys: AxiomSystem, cand: Equation,
         proof = _Proof()
         proof.add("reflexivity", (), cand)
         return Proved(tuple(proof.steps))
-    if not sys.equations:
+    depth_cap = budgets.max_term_depth
+    if not sys.equations or max(term_depth(cand.lhs), term_depth(cand.rhs)) > depth_cap:
         return Unknown(bounds)
 
     leaves = [Var(x) for x in variables_of_equation(cand)]
     leaves += [Var(c) for c in sorted(sys.constants) if Var(c) not in leaves]
     if not leaves:
         leaves = [Var("a")]
-    depth_cap = max(
-        budgets.max_term_depth,
-        term_depth(cand.lhs),
-        term_depth(cand.rhs),
-    )
     directions = _directions(sys)
 
     # parents[side][term] = (previous term, edge); side 0 grows from the lhs,

@@ -248,6 +248,35 @@ def test_refute_holds_exits_nonzero(capsys):
     assert code == cli.EXIT_NEGATIVE and "holds" in out
 
 
+@pytest.mark.parametrize("system,identity", [("C1", "(a:b)c = c(a:b)"),
+                                             ("none", "(ab)/b = (ab)/b")])
+def test_refute_of_a_provable_identity_holds(capsys, system, identity):
+    # the size-3 search over the tables these identities leave free passes
+    # the node cap; a proof settles them before that search
+    code, out, _ = run(capsys, "refute", "--system", system, identity)
+    assert (code, out) == (cli.EXIT_NEGATIVE, "holds in every model up to size 3\n")
+
+
+def test_prove_deeper_than_max_term_depth_needs_the_flag(capsys):
+    identity = "(((ab)c)d)e = e/(((ab)c)d)"  # its left side is 4 deep
+    code, out, _ = run(capsys, "prove", "--system", "C0", identity)
+    assert code == cli.EXIT_NEGATIVE and out.startswith("unknown:")
+    code, out, _ = run(capsys, "prove", "--system", "C0", identity, "--max-term-depth", "4")
+    assert code == 0 and out.startswith("proved:")
+
+
+def test_prove_deep_product_is_unknown_at_once(capsys):
+    # the candidate's own depth must not raise derive's depth cap: a search
+    # that grows terms 100 deep runs for tens of seconds before it gives up
+    product = "a a"
+    for _ in range(99):
+        product = f"a ({product})"
+    started = time.monotonic()
+    code, out, _ = run(capsys, "prove", "--system", "C0", f"{product} = a")
+    assert code == cli.EXIT_NEGATIVE and out.startswith("unknown:")
+    assert time.monotonic() - started < 5.0
+
+
 # ---------------------------------------------------------------------------
 # compare / rank
 

@@ -28,6 +28,8 @@ from eqbench.terms import (
     parse_equation,
 )
 
+from reference import search_verdict
+
 
 # ---------------------------------------------------------------------------
 # an independent replay checker (no shared code with validate_derivation)
@@ -271,12 +273,12 @@ def test_consequence_set_deterministic():
     + [(name, 3) for name in ("C0", "Mx_as_printed", "Mx_neutral")]
 ))
 def test_consequence_set_equals_semantic_filter(name, size):
-    # semantic_consequence never calls derive, so the proofs consequence_set
-    # relies on are checked against countermodel search alone
+    # the proofs consequence_set relies on are checked against countermodel
+    # search alone
     sys_ = empty_system() if name == "none" else builtin_system(name)
     space = CandidateSpace(2, 1)
     want = tuple(cand for cand in candidate_identities(space)
-                 if semantic_consequence(sys_, cand, size) == HoldsUpTo(size))
+                 if search_verdict(sys_, cand, size) == HoldsUpTo(size))
     assert consequence_set(sys_, space, size) == want
 
 

@@ -7,16 +7,19 @@ sets drive enumeration and the countermodel search through both the early
 (static) checks and the leaf checks.  Random constant-free depth-1 systems,
 whose every instance is static, drive it through forced cells, and every
 size-2 bundle and a seeded size-3 sample check the canonical form and the
-canonical test against a brute-force relabeling.
+canonical test against a brute-force relabeling.  The random candidates,
+with instances of the systems' axioms that ``derive`` proves, check the
+proof-first order of ``semantic_consequence`` against the search alone.
 """
 
 import itertools
 import random
 
 from eqbench.axioms import make_system, system_ops
-from eqbench.consequence import HoldsUpTo, Refuted, semantic_consequence
+from eqbench.consequence import HoldsUpTo, Proved, Refuted, derive, semantic_consequence
 from eqbench.models import (
     EnumOptions,
+    ResourceLimitError,
     canonical_form,
     enumerate_models,
     find_violation,
@@ -32,6 +35,7 @@ from eqbench.terms import (
     Var,
     operations_of_equation,
     term_depth,
+    substitute,
     variables_of,
     variables_of_equation,
 )
@@ -45,6 +49,7 @@ from oracles import (
     oracle_canonical,
     oracle_models,
 )
+from reference import search_verdict
 
 SYSTEMS = 30
 CANDIDATES_PER_SYSTEM = 2
@@ -121,6 +126,52 @@ def test_random_systems_match_oracles():
             else:
                 assert verdict == Refuted(*found), f"{sys_} with {cand}"
     assert leaf_checked >= SYSTEMS // 2
+
+
+def _axiom_instance(rng, sys_):
+    """An axiom of ``sys_`` with each non-constant variable replaced by a
+    variable or a product of two, a candidate that ``derive`` can prove."""
+    eq = rng.choice(sys_.equations)
+    ops = [op for op in OP_ORDER if op in system_ops(sys_)] or OP_ORDER
+    sigma = {x: Var(x) if x in sys_.constants else _random_term(rng, ops, ["a", "b"], 1)
+             for x in variables_of_equation(eq)}
+    return Equation(substitute(eq.lhs, sigma), substitute(eq.rhs, sigma))
+
+
+def _verdict_or_cap(decide):
+    try:
+        return decide()
+    except ResourceLimitError:
+        return None
+
+
+def test_proof_first_order_matches_search_alone():
+    # semantic_consequence asks derive before it searches at size 3; where
+    # the search alone settles a candidate the two verdicts are the same,
+    # and where it passes its cap only a proof may answer HoldsUpTo
+    rng = random.Random(1860)
+    max_nodes = 2_000
+    proved = held_by_proof = refuted = 0
+    for sys_, _, cands in _random_cases():
+        for cand in cands + [_axiom_instance(rng, sys_) for _ in range(2)]:
+            proof = derive(sys_, cand)
+            if isinstance(proof, Proved):
+                proved += 1
+                ops = system_ops(sys_) | operations_of_equation(cand)
+                for n in (1, 2):
+                    for alg in literal_models(sys_, n, ops):
+                        assert o_satisfies(dict(alg.tables), cand, n, dict(alg.constants)), \
+                            f"{sys_}: proved {cand} fails in {alg}"
+            want = _verdict_or_cap(lambda: search_verdict(sys_, cand, 3, max_nodes))
+            got = _verdict_or_cap(lambda: semantic_consequence(sys_, cand, 3, max_nodes=max_nodes))
+            if want is not None:
+                assert got == want, f"{sys_} with {cand}"
+                refuted += isinstance(want, Refuted)
+            elif got is not None:
+                assert got == HoldsUpTo(3) and isinstance(proof, Proved), f"{sys_} with {cand}"
+                held_by_proof += 1
+    # each branch is taken often enough to show a change in the order
+    assert min(proved, held_by_proof, refuted) >= 20
 
 
 def test_cut_streams_match_oracles():
