@@ -128,16 +128,20 @@ def _patterned(template: ShapeTemplate):
 
 def _read_algebra_records(source: str):
     """Yield the algebra of each record line in ``source`` as its line is
-    read from the open file or stdin.  A line is read with the pattern of
-    the shape of the last line that ``json`` read, and by ``json`` when that
-    pattern does not match it.  A line that is not a record or not UTF-8
-    fails after the algebras before it, and a source that holds no record
-    fails at its end."""
+    read, and decoded, from the open file or stdin.  A line is read with the
+    pattern of the shape of the last line that ``json`` read, and by
+    ``json`` when that pattern does not match it.  A line that is not a
+    record or not UTF-8 fails, naming its number, after the algebras before
+    it, and a source that holds no record fails at its end."""
     template = alg = None
+    stdin = getattr(_sys.stdin, "buffer", _sys.stdin)
     try:
-        with nullcontext(_sys.stdin) if source == "-" else open(source, encoding="utf-8") as f:
+        with nullcontext(stdin) if source == "-" else open(source, "rb") as f:
             for lineno, line in enumerate(f, start=1):
-                line = line.strip()
+                try:
+                    line = (line.decode() if isinstance(line, bytes) else line).strip()
+                except UnicodeDecodeError as exc:
+                    raise CliError(f"{source}:{lineno}: not UTF-8 text: {exc}") from None
                 if not line:
                     continue
                 alg = template and template.read(line)
@@ -148,7 +152,7 @@ def _read_algebra_records(source: str):
                         raise CliError(f"{source}:{lineno}: bad algebra record: {exc}")
                     template = _patterned(template_of(alg))
                 yield alg
-    except UnicodeDecodeError as exc:
+    except UnicodeDecodeError as exc:  # from a text stream that has no bytes beneath
         raise CliError(f"{source}: not UTF-8 text: {exc}")
     if alg is None:
         raise CliError(f"{source}: no algebra records found")

@@ -13,10 +13,11 @@ order of the serialized (tables, constants) bundle.  A ground instance of an
 axiom whose sides have depth <= 1 and name no constant is static: it says
 that its later cell must equal ``source[i]``, an earlier cell of the vector
 or a fixed value of the carrier, and is stored as that one (source, i) pair.
-A cell's first pair gives it its one possible value, and its other pairs
-prune as soon as it is written; other axioms are checked only on complete
-branches.  The same search, given a candidate identity, emits only the
-models that violate it.
+A cell's first pair forces it, a run of forced cells is filled in one step,
+and its other pairs prune as soon as it is written.  A failed instance that
+names one constant rules out one value of it.  Axioms with a deeper side or
+a constant are checked on complete branches too.  The same search, given a
+candidate identity, emits only the models that violate it.
 
 The record line format is defined once, by the shape template of an
 algebra's size, tables and constant names: one ``%`` format writes the
@@ -29,7 +30,7 @@ import itertools
 import json
 import re
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from itertools import chain
 from operator import itemgetter, ne, sub
 from typing import Callable, Iterator, Mapping, Optional
@@ -303,16 +304,22 @@ def _search(sys: AxiomSystem, n: int, ops: tuple, cand: Optional[Equation] = Non
     ``source`` is the cell vector and ``i`` an earlier cell, or ``source``
     is the carrier and ``i`` a fixed value.  Slots fill strictly in order,
     so ``source[i]`` is known when the slot is written.  A slot's first pair
-    forces it: the slot takes that one value and is left when the search
-    returns to it.  Its other pairs are compared with the value just
-    written; every other axiom is checked once a branch is complete.
+    forces it, its other pairs are checked on the value just written, and a
+    run of consecutive forced slots is written, and cleared, in one step.
+
+    An instance of a depth <= 1 axiom that names one constant is such a pair
+    for one value of the constant.  A slot with such pairs, or a constant's
+    own slot, rules out the values whose pairs fail, and keeps the mask of
+    live values it leaves, so they come back when it is rewritten or left.
+    A branch dies when a constant has no value left.  Axioms that name a
+    constant or have a deeper side are still checked on complete branches.
 
     With ``cand``, only models on which it fails: the candidate is checked
     at the last slot it can read, and the branch is cut there when it holds.
     With ``cand`` and ``max_nodes``, raise ResourceLimitError once more nodes
-    than that have been visited; nodes are counted as slots are exhausted, n
-    per slot, forced or not, so the cap is noticed at most ``n * total``
-    nodes late.
+    than that have been visited; nodes are counted as slots are left, n per
+    slot but slot 0, forced or not, so the cap is noticed at most
+    ``n * total`` nodes late.
     """
     n2 = n * n
     names = tuple(sorted(sys.constants))
@@ -331,26 +338,37 @@ def _search(sys: AxiomSystem, n: int, ops: tuple, cand: Optional[Equation] = Non
         cell = base[t.op] + env[t.left.name] * n + env[t.right.name]
         return cell, (cells, cell)
 
+    def cond(pair, x, v):  # (*pair, mask ruling out value v of x, x's n bits)
+        return (*pair, ~(1 << names.index(x) * n + v), (1 << n) - 1 << names.index(x) * n)
+
+    conds = {}  # the conditional pairs of each slot that has some
+    for x, s in slot_of.items():  # a constant's own slot rules out its other values
+        conds[s] = [cond((carrier, v), x, v) for v in carrier]
+
     for eq in sys.equations:
         missing = operations_of_equation(eq) - set(ops)
         if missing:
             listed = ", ".join(op.value for op in sorted(missing, key=OP_ORDER.index))
             raise MissingTableError(f"missing table {listed}")
         free = variables_of_equation(eq)
-        if slot_of.keys() & free or term_depth(eq.lhs) > 1 or term_depth(eq.rhs) > 1:
+        named = slot_of.keys() & free
+        deep = term_depth(eq.lhs) > 1 or term_depth(eq.rhs) > 1
+        if named or deep:
             leaf.append(_compile(eq, n, base, slot_of))
+        if deep or len(named) > 1:
             continue
         for values in itertools.product(carrier, repeat=len(free)):
             env = dict(zip(free, values))
-            (low, pair), (high, other) = sorted((side(eq.lhs, env), side(eq.rhs, env)),
-                                                key=itemgetter(0))
-            if high < 0:  # two variables: no model when their values differ
-                unsat = unsat or pair != other
-            elif low != high:
-                if forced[high] is None:
-                    forced[high] = pair
-                else:
-                    pairs[high].append(pair)
+            a, b = side(eq.lhs, env), side(eq.rhs, env)
+            (low, pair), (high, other) = (a, b) if a[0] <= b[0] else (b, a)
+            if low == high:  # two variables, or one cell
+                unsat = unsat or pair != other and not named
+            elif named:  # binding while the constant it names has its value in env
+                conds.setdefault(high, []).extend(cond(pair, x, env[x]) for x in named)
+            elif forced[high] is None:
+                forced[high] = pair
+            else:
+                pairs[high].append(pair)
     if unsat:
         return
     cut = -1  # the slot whose every value the candidate is checked on
@@ -362,6 +380,29 @@ def _search(sys: AxiomSystem, n: int, ops: tuple, cand: Optional[Equation] = Non
         if cut < 0 and holds(cells) is None:
             return
 
+    live = [-1] * (total + 1)  # the mask each checked slot leaves; at total, all live
+
+    def admit(s, below, v):  # False when the branch dies at slot s, just written
+        mask = live[below]
+        for source, i, keep, bits in conds[s]:
+            if source[i] != v:
+                mask &= keep
+                if not mask & bits:
+                    return False
+        live[s] = mask
+        return True
+
+    checks, below = [None] * total, total  # each slot's check knows the last one before
+    for s in sorted(conds):
+        checks[s], below = partial(admit, s, below), s
+    runs = [None] * total  # (start, stop, blank) of a run, at its first and last slot
+    start = 0
+    for s in range(total + 1):
+        if s == total or forced[s] is None:
+            if start < s:
+                runs[start] = runs[s - 1] = (start, s, [-1] * (s - start))
+            start = s + 1
+
     algebra = shape_template(n, ops, names).algebra
 
     if total == 0:
@@ -372,32 +413,57 @@ def _search(sys: AxiomSystem, n: int, ops: tuple, cand: Optional[Equation] = Non
     last = total - 1
     nodes = slot = 0
     while True:
-        v = cells[slot] + 1
-        if forced[slot] is not None:  # its one value, then back out
-            source, i = forced[slot]
-            v = n if v else source[i]
-        if v >= n:
-            cells[slot] = -1
-            slot -= 1
-            if slot < 0:
-                return
-            nodes += n
-            if nodes > limit:
-                raise ResourceLimitError(
-                    f"countermodel search for {format_equation(cand)!r} "
-                    f"exceeded {max_nodes} nodes at size {n}")
-            continue
-        cells[slot] = v
-        for source, i in pairs[slot]:
-            if source[i] != v:
-                break
-        else:
-            if slot == cut and holds(cells) is None:
+        run = runs[slot]
+        if run is None:  # a free slot: its next value, or back out
+            v = cells[slot] + 1
+            if v < n:
+                cells[slot] = v
+                for source, i in pairs[slot]:
+                    if source[i] != v:
+                        break
+                else:
+                    if (checks[slot] is None or checks[slot](v)) and (
+                            slot != cut or holds(cells) is not None):
+                        if slot < last:
+                            slot += 1
+                        elif all(check(cells) is None for check in leaf):
+                            yield algebra(tuple(cells))
                 continue
-            if slot < last:
-                slot += 1
-            elif all(check(cells) is None for check in leaf):
-                yield algebra(tuple(cells))
+            cells[slot] = -1
+            if not slot:
+                return
+            slot -= 1
+            nodes += n
+        else:  # a run: entered going forward, left going back
+            start, stop, blank = run
+            s = stop - 1
+            if cells[start] < 0:  # write its slots in order, up to one that fails
+                for s in range(start, stop):
+                    source, i = forced[s]
+                    v = cells[s] = source[i]
+                    for source, i in pairs[s]:
+                        if source[i] != v:
+                            break
+                    else:
+                        if (checks[s] is None or checks[s](v)) and (
+                                s != cut or holds(cells) is not None):
+                            continue
+                    break
+                else:
+                    if stop <= last:
+                        slot = stop
+                        continue
+                    if all(check(cells) is None for check in leaf):
+                        yield algebra(tuple(cells))
+            cells[start:stop] = blank  # leave the slots written, start to s
+            nodes += n * (s + 1 - max(start, 1))  # slot 0 counts none
+            if not start and nodes <= limit:
+                return
+            slot = start - 1
+        if nodes > limit:
+            raise ResourceLimitError(
+                f"countermodel search for {format_equation(cand)!r} "
+                f"exceeded {max_nodes} nodes at size {n}")
 
 
 def enumerate_models(sys: AxiomSystem, n: int, opts: Optional[EnumOptions] = None

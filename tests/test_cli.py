@@ -37,6 +37,12 @@ def test_enumerate_count_unconstrained_prod(capsys):
     assert code == 0 and out == "16\n"
 
 
+def test_enumerate_count_c0_with_a_neutral_element(capsys):
+    code, out, _ = run(capsys, "enumerate", "--system", "C0", "--system", "Mx_neutral",
+                       "--size", "3", "--count")
+    assert code == 0 and out == "243\n"
+
+
 def test_enumerate_count_c1_size2(capsys):
     code, out, _ = run(capsys, "enumerate", "--system", "C1", "--size", "2", "--count")
     assert code == 0 and out == "128\n"
@@ -255,6 +261,15 @@ def test_refute_of_a_provable_identity_holds(capsys, system, identity):
     # the node cap; a proof settles them before that search
     code, out, _ = run(capsys, "refute", "--system", system, identity)
     assert (code, out) == (cli.EXIT_NEGATIVE, "holds in every model up to size 3\n")
+
+
+def test_refute_finds_a_size_3_countermodel_with_a_neutral_element(capsys):
+    # a e = a and e a = a read e; ruling out the values of e that a cell
+    # contradicts keeps the size-3 search under the node cap
+    code, out, _ = run(capsys, "refute", "--system", "Mx_neutral", "a a:a = a:a a")
+    assert (code, out) == (0, "refuted: a a:a = a:a a fails at a=2 in\n"
+                              "  size=3 prod=[[0,0,0],[0,1,2],[1,2,0]] "
+                              "ldiv=[[0,0,0],[0,0,0],[0,0,0]] constants=e=1\n")
 
 
 def test_prove_deeper_than_max_term_depth_needs_the_flag(capsys):
@@ -541,16 +556,20 @@ def test_cache_hit_serves_every_format(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("command", [["check", "--system", "C0"], ["classify"]],
                          ids=["check", "classify"])
 def test_undecodable_records_are_input_errors(tmp_path, capsys, monkeypatch, command):
+    # the error names the line and the offset within it, not a position
+    # within whatever chunk the decoder had read
     f = tmp_path / "bad.jsonl"
-    f.write_bytes(b'{"size":1,"ops":{"prod":[[0]]},"constants":{}}\n\xff\n')
+    record = b'{"size":1,"ops":{"prod":[[0]],"ldiv":[[0]],"rdiv":[[0]]},"constants":{}}\n'
+    f.write_bytes(record * 1000 + b'"\xff"\n')
+    reason = "not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position 1"
     code, out, err = run(capsys, *command, "--algebra", str(f))
     assert (code, out) == (cli.EXIT_CONFIG, "")
-    assert err.startswith(f"error: {f}: ")
+    assert err.startswith(f"error: {f}:1001: {reason}")
     monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(f.read_bytes()),
                                                       encoding="utf-8"))
     code, out, err = run(capsys, *command, "--algebra", "-")
     assert (code, out) == (cli.EXIT_CONFIG, "")
-    assert err.startswith("error: -: ")
+    assert err.startswith(f"error: -:1001: {reason}")
 
 
 def test_deeply_nested_record_is_input_error(tmp_path, capsys):

@@ -5,9 +5,10 @@ leaf-check path only through the constant-bearing neutral readings.  Here
 random small systems with depth-2 terms, a constant and random operation
 sets drive enumeration and the countermodel search through both the early
 (static) checks and the leaf checks.  Random constant-free depth-1 systems,
-whose every instance is static, drive it through forced cells, and every
-size-2 bundle and a seeded size-3 sample check the canonical form and the
-canonical test against a brute-force relabeling.  The random candidates,
+whose every instance is static, drive it through forced cells, and random
+depth-1 systems over one or two constants through the constants' live
+values.  Every size-2 bundle and a seeded size-3 sample check the canonical
+form and the canonical test against a brute-force relabeling.  The random candidates,
 with instances of the systems' axioms that ``derive`` proves, check the
 proof-first order of ``semantic_consequence`` against the search alone.
 """
@@ -264,6 +265,56 @@ def test_forced_cells_match_oracles_on_random_static_systems():
             assert got == want, f"{sys_} at size {n}"
             sizes_3 += n == 3
     assert sizes_3 >= 10
+
+
+def _random_constant_system(rng, i):
+    """A system of depth <= 1 axioms over the constant ``e``, and in about two
+    fifths of the systems ``f`` too.  An instance that names one constant
+    prunes only while that constant has the value it was instantiated with;
+    an axiom that names both is checked on complete branches only.  A
+    constant-free axiom now and then adds forced cells to the mix."""
+    ops = rng.sample(OP_ORDER, rng.choice((1, 1, 2)))
+    constants = ["e", "f"] if rng.random() < 0.4 else ["e"]
+
+    def app(names):
+        return App(rng.choice(ops), Var(rng.choice(names)), Var(rng.choice(names)))
+
+    axioms = []
+    for _ in range(rng.choice((1, 2, 2, 3))):
+        names = ["a", "b"] if rng.random() < 0.15 else ["a", "b", *constants]
+        lhs = app(names)
+        known = sorted(set(variables_of(lhs)) | set(constants))
+        # x∘e = x-like sides keep some models at every size
+        rhs = Var(rng.choice(known)) if rng.random() < 0.5 else app(known)
+        axioms.append(Equation(rhs, lhs) if rng.random() < 0.5 else Equation(lhs, rhs))
+    return make_system(f"constants{i}", axioms, constants)
+
+
+def test_constant_domains_match_oracles_on_random_systems():
+    rng = random.Random(1995_03)
+    both = named_together = sizes_3 = some_not_all = 0
+    for i in range(30):
+        sys_ = _random_constant_system(rng, i)
+        ops = tuple(op for op in OP_ORDER if op in system_ops(sys_))
+        both += len(sys_.constants) == 2
+        named_together += any({"e", "f"} <= set(variables_of_equation(eq))
+                              for eq in sys_.equations)
+        cands = [_random_equation(rng, ops, sorted(sys_.constants)) for _ in range(2)]
+        # the size-3 oracle tries every table with every constant value
+        for n in (1, 2, 3) if len(ops) == len(sys_.constants) == 1 else (1, 2):
+            models = oracle_models(sys_, n, ops)
+            got = [record_line(m) for m in enumerate_models(sys_, n)]
+            assert got == sorted(record_line(m) for m in models), f"{sys_} at size {n}"
+            some_not_all += 0 < len(models) < n ** (n * n * len(ops) + len(sys_.constants))
+            sizes_3 += n == 3
+            for cand in cands:
+                want = [m for m in models
+                        if not o_satisfies(dict(m.tables), cand, n, dict(m.constants))]
+                assert list(_search(sys_, n, ops, cand)) == want, \
+                    f"{sys_} with {cand} at size {n}"
+    # enough of each kind that a value left ruled out, or a pair checked
+    # before both its cells are written, shows
+    assert both >= 8 and named_together >= 5 and sizes_3 >= 10 and some_not_all >= 30
 
 
 def _check_canonical(alg):
