@@ -8,9 +8,10 @@ sets drive enumeration and the countermodel search through both the early
 whose every instance is static, drive it through forced cells, and random
 depth-1 systems over one or two constants through the constants' live
 values.  Every size-2 bundle and a seeded size-3 sample check the canonical
-form and the canonical test against a brute-force relabeling.  The random candidates,
-with instances of the systems' axioms that ``derive`` proves, check the
-proof-first order of ``semantic_consequence`` against the search alone.
+form and the canonical test against a brute-force relabeling.  The random
+candidates, with instances of the systems' axioms that ``derive`` proves,
+check the proof-first order of ``semantic_consequence`` against the search
+alone.
 """
 
 import itertools
