@@ -48,12 +48,12 @@ from .models import (
     MissingTableError,
     ResourceLimitError,
     ShapeTemplate,
-    _ordered_ops,
     bind_constants,
     enumerate_models,
+    enumerate_vectors,
     from_record,
+    models_template,
     record_line,
-    shape_template,
     template_of,
     to_record,
     violation_finder,
@@ -227,6 +227,25 @@ def _write_cache(path: Path, body: str):
         raise
 
 
+#: lines written to stdout in one write
+_BATCH = 512
+
+
+def _write_lines(lines):
+    """Write each of ``lines`` and a newline to stdout, in batches; the lines
+    already made are written when making the next one raises."""
+    batch = []
+    try:
+        for line in lines:
+            batch.append(line)
+            if len(batch) == _BATCH:
+                done, batch = batch, []
+                _sys.stdout.write("\n".join(done) + "\n")
+    finally:
+        if batch:
+            _sys.stdout.write("\n".join(batch) + "\n")
+
+
 def cmd_enumerate(args) -> int:
     sys_ = _resolve_merged(args.system)
     ops = _parse_ops(args.ops) if args.ops else None
@@ -236,16 +255,15 @@ def cmd_enumerate(args) -> int:
         ops=ops,
         allow_large=args.allow_large,
     )
+    template = models_template(sys_, args.size, opts)
     cache_dir = args.cache_dir or os.environ.get(CACHE_ENV)
     if cache_dir:
         path = _cache_path(cache_dir, sys_, ops, args.size, args.up_to_iso)
-        template = shape_template(args.size, _ordered_ops(sys_, opts),
-                                  tuple(sorted(sys_.constants)))
         body = _read_cache(path, template)
         if body is None:
             # raises past the cap, so only complete enumerations are cached
-            body = "".join(record_line(alg) + "\n"
-                           for alg in enumerate_models(sys_, args.size, opts))
+            body = "".join(map((template.format + "\n").__mod__,
+                               enumerate_vectors(sys_, args.size, opts)))
             _write_cache(path, body)
         count = body.count("\n")
         if args.max_results is not None and count > args.max_results:
@@ -257,19 +275,16 @@ def cmd_enumerate(args) -> int:
             _sys.stdout.write(body)
         else:
             read = template.read if _patterned(template) else lambda s: from_record(json.loads(s))
-            for line in body.splitlines():
-                print(_algebra_text(read(line)))
+            _write_lines(_algebra_text(read(s)) for s in body.splitlines())
         return EXIT_OK
 
-    stream = enumerate_models(sys_, args.size, opts)
+    vectors = enumerate_vectors(sys_, args.size, opts)
     if args.count:
-        print(sum(1 for _ in stream))
-        return EXIT_OK
-    for alg in stream:
-        if args.format == "records":
-            print(record_line(alg))
-        else:
-            print(_algebra_text(alg))
+        print(sum(1 for _ in vectors))
+    elif args.format == "records":
+        _write_lines(map(template.format.__mod__, vectors))
+    else:
+        _write_lines(_algebra_text(template.algebra(v)) for v in vectors)
     return EXIT_OK
 
 
@@ -304,7 +319,7 @@ def cmd_check(args) -> int:
             code = EXIT_NEGATIVE
             witness = tuple(sorted(witness.items()))
         lines.append(_check_line(sys_.name, failed, witness, args.format))
-    print(*lines, sep="\n")
+    _write_lines(lines)
     return code
 
 
@@ -329,7 +344,7 @@ def _classify_text(report: StructureReport, fmt: str) -> str:
 def cmd_classify(args) -> int:
     lines = [_classify_text(classify_structure(alg), args.format)
              for alg in _read_algebra_records(args.algebra)]
-    print(*lines, sep="\n")
+    _write_lines(lines)
     return EXIT_OK
 
 

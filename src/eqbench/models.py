@@ -9,7 +9,10 @@ branches and pooled countermodels.
 
 Enumeration fills table cells in a fixed order (tables in canonical operation
 order, row-major, then constants), so the emitted stream is in lexicographic
-order of the serialized (tables, constants) bundle.  A ground instance of an
+order of the serialized (tables, constants) bundle.  The search core yields
+entry vectors (cells, then constants); an algebra is built from a vector only
+for a caller that asks for one, so enumeration to records, counting and the
+canonical test work on the vectors alone.  A ground instance of an
 axiom whose sides have depth <= 1 and name no constant is static: it says
 that its later cell must equal ``source[i]``, an earlier cell of the vector
 or a fixed value of the carrier, and is stored as that one (source, i) pair.
@@ -296,8 +299,16 @@ def _ordered_ops(sys: AxiomSystem, opts: EnumOptions) -> tuple:
 
 def _search(sys: AxiomSystem, n: int, ops: tuple, cand: Optional[Equation] = None,
             max_nodes: Optional[int] = None) -> Iterator[FiniteAlgebra]:
-    """Depth-first stream of the models of ``sys`` of size ``n`` over the
-    tables ``ops``, in fill order.
+    """The algebras of the entry vectors of ``_vectors``, in its order."""
+    yield from map(shape_template(n, ops, tuple(sorted(sys.constants))).algebra,
+                   _vectors(sys, n, ops, cand, max_nodes))
+
+
+def _vectors(sys: AxiomSystem, n: int, ops: tuple, cand: Optional[Equation] = None,
+             max_nodes: Optional[int] = None) -> Iterator[tuple]:
+    """Depth-first stream of the entry vectors (cells, table after table and
+    each row-major, then the constants' values) of the models of ``sys`` of
+    size ``n`` over the tables ``ops``, in fill order.
 
     Every static ground instance is stored under the later of its slots as
     one pair (source, i): the slot must equal ``source[i]``, where
@@ -403,11 +414,9 @@ def _search(sys: AxiomSystem, n: int, ops: tuple, cand: Optional[Equation] = Non
                 runs[start] = runs[s - 1] = (start, s, [-1] * (s - start))
             start = s + 1
 
-    algebra = shape_template(n, ops, names).algebra
-
     if total == 0:
         if all(check(cells) is None for check in leaf):
-            yield algebra(())
+            yield ()
         return
     limit = float("inf") if max_nodes is None else max_nodes
     last = total - 1
@@ -427,7 +436,7 @@ def _search(sys: AxiomSystem, n: int, ops: tuple, cand: Optional[Equation] = Non
                         if slot < last:
                             slot += 1
                         elif all(check(cells) is None for check in leaf):
-                            yield algebra(tuple(cells))
+                            yield tuple(cells)
                 continue
             cells[slot] = -1
             if not slot:
@@ -454,7 +463,7 @@ def _search(sys: AxiomSystem, n: int, ops: tuple, cand: Optional[Equation] = Non
                         slot = stop
                         continue
                     if all(check(cells) is None for check in leaf):
-                        yield algebra(tuple(cells))
+                        yield tuple(cells)
             cells[start:stop] = blank  # leave the slots written, start to s
             nodes += n * (s + 1 - max(start, 1))  # slot 0 counts none
             if not start and nodes <= limit:
@@ -466,13 +475,15 @@ def _search(sys: AxiomSystem, n: int, ops: tuple, cand: Optional[Equation] = Non
                 f"exceeded {max_nodes} nodes at size {n}")
 
 
-def enumerate_models(sys: AxiomSystem, n: int, opts: Optional[EnumOptions] = None
-                     ) -> Iterator[FiniteAlgebra]:
-    """All algebras of size ``n`` over the system's operations satisfying it.
+def enumerate_vectors(sys: AxiomSystem, n: int, opts: Optional[EnumOptions] = None
+                      ) -> Iterator[tuple]:
+    """The entry vectors of the algebras of size ``n`` over the system's
+    operations satisfying it, of the shape ``models_template`` gives.
 
     With ``up_to_iso`` only the canonically least member of each isomorphism
-    class is emitted.  Raises ResourceLimitError if ``n`` exceeds the default
-    size limit without ``allow_large``, or when ``max_results`` is surpassed.
+    class is yielded.  Raises ResourceLimitError at once if ``n`` exceeds the
+    default size limit without ``allow_large``, and while iterating once
+    ``max_results`` is surpassed.
     """
     if n < 1:
         raise ValueError("size must be >= 1")
@@ -481,21 +492,41 @@ def enumerate_models(sys: AxiomSystem, n: int, opts: Optional[EnumOptions] = Non
         raise ResourceLimitError(
             f"size {n} exceeds the default limit of {DEFAULT_SIZE_LIMIT}; "
             "pass allow_large to override")
-    emitted = 0
-    for alg in _search(sys, n, _ordered_ops(sys, opts)):
-        if opts.up_to_iso and not is_canonical(alg):
-            continue
-        if opts.max_results is not None and emitted >= opts.max_results:
-            raise ResourceLimitError(
-                f"more than max_results={opts.max_results} models exist")
-        emitted += 1
-        yield alg
+    ops = _ordered_ops(sys, opts)
+    vectors = _vectors(sys, n, ops)
+    if opts.up_to_iso:  # the table has n! rows, so it is built only here
+        vectors = filter(partial(_is_least, _relabeling_table(n, len(ops), len(sys.constants))),
+                         vectors)
+    if opts.max_results is not None:
+        vectors = _capped(vectors, opts.max_results)
+    return vectors
+
+
+def _capped(vectors: Iterator[tuple], cap: int) -> Iterator[tuple]:
+    for k, v in enumerate(vectors):
+        if k == cap:
+            raise ResourceLimitError(f"more than max_results={cap} models exist")
+        yield v
+
+
+def models_template(sys: AxiomSystem, n: int, opts: Optional[EnumOptions] = None
+                    ) -> ShapeTemplate:
+    """The shape of the models ``enumerate_vectors`` yields."""
+    return shape_template(n, _ordered_ops(sys, opts or EnumOptions()),
+                          tuple(sorted(sys.constants)))
+
+
+def enumerate_models(sys: AxiomSystem, n: int, opts: Optional[EnumOptions] = None
+                     ) -> Iterator[FiniteAlgebra]:
+    """The algebras of the entry vectors of ``enumerate_vectors``, in its order."""
+    vectors = enumerate_vectors(sys, n, opts)
+    yield from map(models_template(sys, n, opts).algebra, vectors)
 
 
 def count_models(sys: AxiomSystem, n: int, up_to_iso: bool = False,
                  opts: Optional[EnumOptions] = None) -> int:
     opts = replace(opts or EnumOptions(), up_to_iso=up_to_iso)
-    return sum(1 for _ in enumerate_models(sys, n, opts))
+    return sum(1 for _ in enumerate_vectors(sys, n, opts))
 
 
 # ---------------------------------------------------------------------------
@@ -515,9 +546,9 @@ def _relabeling_table(n: int, tables: int, constants: int) -> tuple:
 
 
 def _relabeled(alg: FiniteAlgebra) -> tuple:
-    """(entry vector of ``alg``, the relabeling table for its shape)."""
+    """(the relabeling table for the shape of ``alg``, its entry vector)."""
     v = alg.cells + tuple(x for _, x in alg.constants)
-    return v, _relabeling_table(alg.size, len(alg.tables), len(alg.constants))
+    return _relabeling_table(alg.size, len(alg.tables), len(alg.constants)), v
 
 
 def canonical_form(alg: FiniteAlgebra) -> bytes:
@@ -531,17 +562,21 @@ def canonical_form(alg: FiniteAlgebra) -> bytes:
         ",".join(op.value for op, _ in alg.tables),
         ",".join(name for name, _ in alg.constants),
     )
-    v, table = _relabeled(alg)
+    table, v = _relabeled(alg)
     return header.encode() + min(
         bytes(map(perm.__getitem__, map(v.__getitem__, sources))) for perm, sources in table)
 
 
-def is_canonical(alg: FiniteAlgebra) -> bool:
-    """True iff no relabeling gives a smaller entry vector."""
-    v, table = _relabeled(alg)
+def _is_least(table: tuple, v: tuple) -> bool:
+    """True iff no relabeling in ``table`` gives a smaller entry vector than ``v``."""
     return all(  # the first nonzero difference decides each comparison
         next(filter(None, map(sub, map(perm.__getitem__, map(v.__getitem__, sources)), v)), 0) >= 0
         for perm, sources in table[1:])
+
+
+def is_canonical(alg: FiniteAlgebra) -> bool:
+    """True iff no relabeling gives a smaller entry vector."""
+    return _is_least(*_relabeled(alg))
 
 
 # ---------------------------------------------------------------------------

@@ -127,12 +127,15 @@ def classify_op(alg: FiniteAlgebra, op: Op) -> OpReport:
 
 def classify_structure(alg: FiniteAlgebra) -> StructureReport:
     """Aggregate report; operations without a table get a None entry and the
-    coincidence flag is only computed when all three tables are present."""
-    present = set(alg.ops)
-    reports = tuple(
-        (op, classify_op(alg, op) if op in present else None) for op in OP_ORDER
-    )
-    if all(op in present for op in OP_ORDER):
+    coincidence flag is only computed when all three tables are present.
+    A table equal to an earlier one of ``alg`` shares its report."""
+    tables = dict(alg.tables)
+    by_table = {}
+    for op, t in tables.items():
+        if t not in by_table:
+            by_table[t] = classify_op(alg, op)
+    reports = tuple((op, by_table[tables[op]] if op in tables else None) for op in OP_ORDER)
+    if len(tables) == len(OP_ORDER):
         coincide, coincide_w = ops_coincide(alg)
     else:
         coincide, coincide_w = None, None

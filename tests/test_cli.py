@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from eqbench import cli
+from eqbench import cli, models
 from eqbench.axioms import builtin_system, merge
 from eqbench.models import (enumerate_models, from_record, make_algebra, record_line,
                              template_of, to_record)
@@ -414,11 +414,34 @@ def test_audit_text_mode_mentions_claim(capsys):
     assert "G1 with Mx_as_printed" in out
 
 
-def test_enumerate_max_results_cap_exit_code(capsys):
-    code, _, err = run(capsys, "enumerate", "--system", "none", "--ops", "prod",
-                       "--size", "2", "--max-results", "5", "--format", "records")
+def test_enumerate_max_results_cap_exit_code(capsys, monkeypatch):
+    code, out, err = run(capsys, "enumerate", "--system", "none", "--ops", "prod",
+                         "--size", "2", "--max-results", "5", "--format", "records")
     assert code == cli.EXIT_RESOURCE
     assert "max_results" in err
+    # the records before the cap are written, whole, whether the cap falls
+    # inside the first batch of lines or after some batches were written
+    code, full, _ = run(capsys, "enumerate", "--system", "none", "--ops", "prod",
+                        "--size", "2", "--format", "records")
+    assert code == 0 and len(full.splitlines()) == 16
+    assert out == "".join(full.splitlines(keepends=True)[:5])
+    monkeypatch.setattr(cli, "_BATCH", 2)
+    for cap in (4, 5):
+        assert run(capsys, "enumerate", "--system", "none", "--ops", "prod", "--size", "2",
+                   "--max-results", str(cap), "--format", "records")[:2] == (
+            cli.EXIT_RESOURCE, "".join(full.splitlines(keepends=True)[:cap]))
+
+
+def test_enumerate_builds_the_relabeling_table_only_up_to_iso(capsys, monkeypatch):
+    # the table has a row per permutation of the carrier: 40! at size 40
+    def refuse(*args):
+        raise AssertionError("relabeling table built")
+
+    monkeypatch.setattr(models, "_relabeling_table", refuse)
+    for fmt in (("--count",), ("--format", "records"), ("--format", "text")):
+        assert run(capsys, "enumerate", "--system", "C0", "--size", "2", *fmt)[0] == 0
+    with pytest.raises(AssertionError, match="relabeling table built"):
+        cli.main(["enumerate", "--system", "C0", "--size", "2", "--up-to-iso", "--count"])
 
 
 def test_enumerate_max_results_cap_with_cache(tmp_path, capsys):
@@ -549,6 +572,7 @@ def test_cache_hit_serves_every_format(tmp_path, capsys, monkeypatch):
         raise AssertionError("a cache hit enumerates nothing")
 
     monkeypatch.setattr(cli, "enumerate_models", enumerate_again)
+    monkeypatch.setattr(cli, "enumerate_vectors", enumerate_again)
     for fmt in formats:
         assert run(capsys, *base, *fmt, "--cache-dir", str(tmp_path)) == cold[fmt[-1]]
 

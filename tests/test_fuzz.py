@@ -8,7 +8,9 @@ sets drive enumeration and the countermodel search through both the early
 whose every instance is static, drive it through forced cells, and random
 depth-1 systems over one or two constants through the constants' live
 values.  Every size-2 bundle and a seeded size-3 sample check the canonical
-form and the canonical test against a brute-force relabeling.  The random
+form and the canonical test against a brute-force relabeling.  On all these
+systems the records ``enumerate`` writes from the search's entry vectors
+are checked against the algebras ``enumerate_models`` yields.  The random
 candidates, with instances of the systems' axioms that ``derive`` proves,
 check the proof-first order of ``semantic_consequence`` against the search
 alone.
@@ -17,7 +19,8 @@ alone.
 import itertools
 import random
 
-from eqbench.axioms import make_system, system_ops
+from eqbench import cli
+from eqbench.axioms import builtin_system, make_system, system_ops
 from eqbench.consequence import HoldsUpTo, Proved, Refuted, derive, semantic_consequence
 from eqbench.models import (
     EnumOptions,
@@ -254,11 +257,14 @@ def _random_static_system(rng, i):
                                       for eq in axioms])
 
 
-def test_forced_cells_match_oracles_on_random_static_systems():
+def _static_systems():
     rng = random.Random(1995)
+    return [_random_static_system(rng, i) for i in range(40)]
+
+
+def test_forced_cells_match_oracles_on_random_static_systems():
     sizes_3 = 0
-    for i in range(40):
-        sys_ = _random_static_system(rng, i)
+    for sys_ in _static_systems():
         ops = system_ops(sys_)
         for n in (1, 2, 3) if len(ops) == 1 else (1, 2):
             got = [record_line(m) for m in enumerate_models(sys_, n)]
@@ -291,16 +297,21 @@ def _random_constant_system(rng, i):
     return make_system(f"constants{i}", axioms, constants)
 
 
-def test_constant_domains_match_oracles_on_random_systems():
+def _constant_cases():
+    """(system, its tables, two candidates) for 30 random constant systems."""
     rng = random.Random(1995_03)
-    both = named_together = sizes_3 = some_not_all = 0
     for i in range(30):
         sys_ = _random_constant_system(rng, i)
         ops = tuple(op for op in OP_ORDER if op in system_ops(sys_))
+        yield sys_, ops, [_random_equation(rng, ops, sorted(sys_.constants)) for _ in range(2)]
+
+
+def test_constant_domains_match_oracles_on_random_systems():
+    both = named_together = sizes_3 = some_not_all = 0
+    for sys_, ops, cands in _constant_cases():
         both += len(sys_.constants) == 2
         named_together += any({"e", "f"} <= set(variables_of_equation(eq))
                               for eq in sys_.equations)
-        cands = [_random_equation(rng, ops, sorted(sys_.constants)) for _ in range(2)]
         # the size-3 oracle tries every table with every constant value
         for n in (1, 2, 3) if len(ops) == len(sys_.constants) == 1 else (1, 2):
             models = oracle_models(sys_, n, ops)
@@ -339,3 +350,41 @@ def test_canonical_form_and_test_match_oracle():
         tables = {op: [[rng.randrange(3) for _ in range(3)] for _ in range(3)] for op in ops}
         names = rng.sample(["e", "f"], rng.choice((1, 2)))
         _check_canonical(make_algebra(3, tables, {x: rng.randrange(3) for x in names}))
+
+
+# ---------------------------------------------------------------------------
+# records written from entry vectors
+
+def _fuzz_systems():
+    """(system, tables to instantiate, sizes) for every system above, and
+    for Mx_neutral (a constant) and G1."""
+    for sys_, table_ops, _ in _random_cases():
+        yield sys_, table_ops, (1, 2)
+    for sys_ in _static_systems():
+        yield sys_, None, (1, 2, 3) if len(system_ops(sys_)) == 1 else (1, 2)
+    for sys_, ops, _ in _constant_cases():
+        yield sys_, None, (1, 2, 3) if len(ops) == len(sys_.constants) == 1 else (1, 2)
+    for name in ("Mx_neutral", "G1"):
+        yield builtin_system(name), None, (1, 2, 3)
+
+
+def test_cli_records_match_the_algebras_enumerate_models_yields(capsys, monkeypatch):
+    systems = {}
+    monkeypatch.setattr(cli, "_resolve_system",
+                        lambda name: systems.get(name) or builtin_system(name))
+    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+    runs = 0
+    for sys_, table_ops, sizes in _fuzz_systems():
+        systems[sys_.name] = sys_
+        ops = ["--ops", ",".join(op.value for op in table_ops)] if table_ops else []
+        for n, iso in itertools.product(sizes, (False, True)):
+            opts = EnumOptions(up_to_iso=iso, ops=table_ops)
+            want = "".join(record_line(a) + "\n" for a in enumerate_models(sys_, n, opts))
+            argv = ["enumerate", "--system", sys_.name, "--size", str(n), *ops,
+                    *["--up-to-iso"] * iso]
+            assert cli.main([*argv, "--format", "records"]) == 0
+            assert capsys.readouterr().out == want, f"{sys_} at size {n}, iso {iso}"
+            assert cli.main([*argv, "--count"]) == 0
+            assert capsys.readouterr().out == f"{want.count(chr(10))}\n"
+            runs += bool(want)
+    assert runs >= 200

@@ -223,6 +223,21 @@ def test_classify_structure_c0_model():
         report.op_report(Op.PROD).commutative = False
 
 
+@pytest.mark.parametrize("tables", [
+    dict(prod=LEFT_PROJ, ldiv=LEFT_PROJ, rdiv=LEFT_PROJ),
+    dict(prod=LEFT_PROJ, ldiv=LEFT_PROJ, rdiv=Z2),
+    dict(prod=LEFT_PROJ, ldiv=Z2, rdiv=[[1, 1], [0, 0]]),
+], ids=["all_equal", "ldiv_is_prod", "all_distinct"])
+def test_classify_structure_reports_each_table_as_classify_op_does(tables):
+    # equal tables of one algebra share a report; it must still be the
+    # report of each one's own table
+    model = alg(2, **tables)
+    report = classify_structure(model)
+    for op in OP_ORDER:
+        assert report.op_report(op) == classify_op(model, op), op
+    assert report.ops_coincide == ops_coincide(model)[0]
+
+
 def test_classify_structure_size_one_everything_true():
     report = classify_structure(alg(1, prod=[[0]], ldiv=[[0]], rdiv=[[0]]))
     assert report.ops_coincide is True
