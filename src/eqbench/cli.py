@@ -48,6 +48,8 @@ from .models import (
     MissingTableError,
     ResourceLimitError,
     ShapeTemplate,
+    _compile,
+    _layout,
     bind_constants,
     enumerate_models,
     enumerate_vectors,
@@ -56,10 +58,10 @@ from .models import (
     record_line,
     template_of,
     to_record,
-    violation_finder,
 )
 from .power import compare, power_record, rank_all, rank_record
-from .structure import StructureReport, classify_structure, is_abelian_group, report_record
+from .structure import (StructureReport, TableReports, classify_cells, is_abelian_group,
+                        report_record)
 from .terms import Op, ParseError, format_equation, parse_equation
 
 EXIT_OK = 0
@@ -126,35 +128,40 @@ def _patterned(template: ShapeTemplate):
     return template if entries <= _PATTERN_ENTRIES else None
 
 
-def _read_algebra_records(source: str):
-    """Yield the algebra of each record line in ``source`` as its line is
-    read, and decoded, from the open file or stdin.  A line is read with the
-    pattern of the shape of the last line that ``json`` read, and by
-    ``json`` when that pattern does not match it.  A line that is not a
-    record or not UTF-8 fails, naming its number, after the algebras before
-    it, and a source that holds no record fails at its end."""
-    template = alg = None
+def _records(lines, source: str):
+    """Yield (template, entry vector) of each record line of ``lines``, read by the
+    pattern of the shape ``json`` last read, else by ``json``, and return the last
+    template (None if none); a line not a record or not UTF-8 fails, naming its number."""
+    template = pattern = None
+    for lineno, line in enumerate(lines, start=1):
+        try:
+            line = (line.decode() if isinstance(line, bytes) else line).strip()
+        except UnicodeDecodeError as exc:
+            raise CliError(f"{source}:{lineno}: not UTF-8 text: {exc}") from None
+        m = line and pattern and pattern.fullmatch(line)
+        if m:
+            yield template, tuple(map(value, m.groups()))
+        elif line:
+            try:
+                alg = from_record(json.loads(line))
+            except (json.JSONDecodeError, ValueError, RecursionError) as exc:
+                raise CliError(f"{source}:{lineno}: bad algebra record: {exc}")
+            template = template_of(alg)
+            pattern = _patterned(template) and template.line
+            value = {str(x): x for x in range(template.size)}.__getitem__  # faster than int
+            yield template, alg.cells + tuple(v for _, v in alg.constants)
+    return template
+
+
+def _read_records(source: str):
+    """``_records`` of the file ``source``, or stdin for '-'; no record at all fails."""
     stdin = getattr(_sys.stdin, "buffer", _sys.stdin)
     try:
         with nullcontext(stdin) if source == "-" else open(source, "rb") as f:
-            for lineno, line in enumerate(f, start=1):
-                try:
-                    line = (line.decode() if isinstance(line, bytes) else line).strip()
-                except UnicodeDecodeError as exc:
-                    raise CliError(f"{source}:{lineno}: not UTF-8 text: {exc}") from None
-                if not line:
-                    continue
-                alg = template and template.read(line)
-                if alg is None:
-                    try:
-                        alg = from_record(json.loads(line))
-                    except (json.JSONDecodeError, ValueError, RecursionError) as exc:
-                        raise CliError(f"{source}:{lineno}: bad algebra record: {exc}")
-                    template = _patterned(template_of(alg))
-                yield alg
+            template = yield from _records(f, source)
     except UnicodeDecodeError as exc:  # from a text stream that has no bytes beneath
         raise CliError(f"{source}: not UTF-8 text: {exc}")
-    if alg is None:
+    if template is None:
         raise CliError(f"{source}: no algebra records found")
 
 
@@ -274,8 +281,7 @@ def cmd_enumerate(args) -> int:
         elif args.format == "records":
             _sys.stdout.write(body)
         else:
-            read = template.read if _patterned(template) else lambda s: from_record(json.loads(s))
-            _write_lines(_algebra_text(read(s)) for s in body.splitlines())
+            _write_lines(_algebra_text(t.algebra(v)) for t, v in _records(body.splitlines(), path))
         return EXIT_OK
 
     vectors = enumerate_vectors(sys_, args.size, opts)
@@ -306,18 +312,35 @@ def _check_line(name: str, failed, witness, fmt: str) -> str:
     return f"fails {name}: {format_equation(failed)} at {at}"
 
 
+def _first_failure(template: ShapeTemplate, sys_: AxiomSystem, v: tuple):
+    """check's (equation, sorted witness) on an entry vector of ``template``'s
+    shape, such as ``v``, or (None, None).  A constant the shape lacks is
+    missing at once, a table only when an equation that needs it is reached."""
+    bind_constants(template.algebra(v), sys_)
+    n, base = template.size, _layout(template.size, template.ops, ())[0]
+    slot = {x: len(base) * n * n + template.names.index(x) for x in sys_.constants}
+    checks = []
+
+    def first_failure(v):
+        for k, eq in enumerate(sys_.equations):
+            if k == len(checks):
+                checks.append(_compile(eq, n, base, slot))
+            if (witness := checks[k](v)) is not None:
+                return eq, tuple(sorted(witness.items()))
+        return None, None
+
+    return first_failure
+
+
 def cmd_check(args) -> int:
     sys_ = _resolve_merged(args.system)
-    finders = [(eq, violation_finder(eq)) for eq in sys_.equations]
-    code = EXIT_OK
-    lines = []
-    for alg in _read_algebra_records(args.algebra):
-        bound = bind_constants(alg, sys_)
-        failed, witness = next(((eq, w) for eq, find in finders
-                                if (w := find(alg, bound)) is not None), (None, None))
+    checkers, lines, code = {}, [], EXIT_OK
+    for template, v in _read_records(args.algebra):
+        check = checkers.get(template) or checkers.setdefault(
+            template, _first_failure(template, sys_, v))
+        failed, witness = check(v)
         if failed is not None:
             code = EXIT_NEGATIVE
-            witness = tuple(sorted(witness.items()))
         lines.append(_check_line(sys_.name, failed, witness, args.format))
     _write_lines(lines)
     return code
@@ -342,8 +365,9 @@ def _classify_text(report: StructureReport, fmt: str) -> str:
 
 
 def cmd_classify(args) -> int:
-    lines = [_classify_text(classify_structure(alg), args.format)
-             for alg in _read_algebra_records(args.algebra)]
+    reports = TableReports()  # each distinct table is classified once per run
+    lines = [_classify_text(classify_cells(t.size, t.ops, v, reports), args.format)
+             for t, v in _read_records(args.algebra)]
     _write_lines(lines)
     return EXIT_OK
 
@@ -448,20 +472,16 @@ def cmd_audit(args) -> int:
                 reading.constants,
             )
             sizes = {}
-            all_ok = True
             for n in range(1, args.max_size + 1):
-                total = 0
-                abelian = 0
-                counter = None
-                reason = None
+                total = abelian = 0
+                counter = reason = None
                 for alg in enumerate_models(audited, n):
                     total += 1
                     ok, why = is_abelian_group(alg, op)
                     if ok:
                         abelian += 1
                     elif counter is None:
-                        counter = alg
-                        reason = why
+                        counter, reason = alg, why
                 sizes[str(n)] = {
                     "models": total,
                     "abelian_groups": abelian,
@@ -469,8 +489,7 @@ def cmd_audit(args) -> int:
                     "countermodel": to_record(counter) if counter else None,
                     "reason": reason,
                 }
-                if counter is not None:
-                    all_ok = False
+            all_ok = all(info["all_abelian"] for info in sizes.values())
             record = {
                 "structure": struct,
                 "operation": op.value,

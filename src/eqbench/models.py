@@ -673,12 +673,6 @@ class ShapeTemplate:
 
         return algebra
 
-    def read(self, line: str) -> Optional[FiniteAlgebra]:
-        """The algebra of ``line`` if it is a record line of this shape with
-        every entry in the carrier, else None."""
-        m = self.line.fullmatch(line)
-        return m and self.algebra(tuple(map(int, m.groups())))
-
 
 @lru_cache(maxsize=256)
 def shape_template(n: int, ops: tuple, names: tuple) -> ShapeTemplate:

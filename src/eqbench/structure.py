@@ -9,6 +9,8 @@ lexicographically first failing tuple as a witness.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+from math import isqrt
 from typing import NamedTuple, Optional
 
 from .models import FiniteAlgebra
@@ -56,17 +58,18 @@ def ops_coincide(alg: FiniteAlgebra):
     """(flag, witness): the product and left division tables agree entrywise
     and right division is the product with swapped arguments, i.e. exactly
     the collapse forced by the three-way coincidence axioms."""
-    prod = alg.table(Op.PROD)
-    ldiv = alg.table(Op.LDIV)
-    rdiv = alg.table(Op.RDIV)
-    if prod == ldiv and rdiv == tuple(zip(*prod)):
+    for op in OP_ORDER:
+        alg.table(op)  # MissingTableError for the first one absent
+    return _coincide(alg.size, alg.cells)
+
+
+def _coincide(n: int, cells) -> tuple:
+    """``ops_coincide`` of the three tables at the start of an entry vector."""
+    prod, ldiv, rdiv = (cells[i:i + n * n] for i in range(0, 3 * n * n, n * n))
+    if prod == ldiv and all(rdiv[b * n:b * n + n] == prod[b::n] for b in range(n)):
         return True, None
-    n = alg.size
-    for a in range(n):
-        for b in range(n):
-            if prod[a][b] != ldiv[a][b] or rdiv[b][a] != prod[a][b]:
-                return False, (a, b)
-    return True, None
+    return False, next((a, b) for a in range(n) for b in range(n)
+                       if prod[a * n + b] != ldiv[a * n + b] or rdiv[b * n + a] != prod[a * n + b])
 
 
 class OpReport(NamedTuple):
@@ -95,13 +98,40 @@ class StructureReport:
 
 
 def classify_op(alg: FiniteAlgebra, op: Op) -> OpReport:
+    """The report of the table of ``op``."""
+    return _scan(tuple(chain.from_iterable(alg.table(op))))
+
+
+#: the most tables a TableReports keeps; every table of size 3 fits (3^9)
+_MEMO_TABLES = 1 << 15
+
+
+class TableReports(dict):
+    """A table's cells, row-major, -> its report, scanned on first lookup; at
+    most _MEMO_TABLES tables are kept, all dropped when full, equal reports shared."""
+
+    def __init__(self):
+        super().__init__()
+        self.interned = {}
+
+    def __missing__(self, cells: tuple) -> OpReport:
+        if len(self) >= _MEMO_TABLES:
+            self.clear()
+            self.interned.clear()
+        report = _scan(cells)
+        self[cells] = report = self.interned.setdefault(report, report)
+        return report
+
+
+def _scan(cells: tuple) -> OpReport:
     """Every property of one table, each scanned once over the table and its
     transpose.  Witnesses are the lexicographically first failing tuples;
     the group verdicts fail for the first missing requirement in the order
     associativity, identity, inverses (then commutativity)."""
-    t = tuple(map(tuple, alg.table(op)))
+    n = isqrt(len(cells))
+    t = tuple(cells[i:i + n] for i in range(0, n * n, n))
     cols = tuple(zip(*t))
-    rng = range(alg.size)
+    rng = range(n)
     comm_w = next(((a, b) for a in rng if t[a] != cols[a]
                    for b in rng if t[a][b] != cols[a][b]), None)
     assoc_w = next(((a, b, c) for a in rng for b in rng
@@ -127,47 +157,24 @@ def classify_op(alg: FiniteAlgebra, op: Op) -> OpReport:
 
 def classify_structure(alg: FiniteAlgebra) -> StructureReport:
     """Aggregate report; operations without a table get a None entry and the
-    coincidence flag is only computed when all three tables are present.
-    A table equal to an earlier one of ``alg`` shares its report."""
-    tables = dict(alg.tables)
-    by_table = {}
-    for op, t in tables.items():
-        if t not in by_table:
-            by_table[t] = classify_op(alg, op)
-    reports = tuple((op, by_table[tables[op]] if op in tables else None) for op in OP_ORDER)
-    if len(tables) == len(OP_ORDER):
-        coincide, coincide_w = ops_coincide(alg)
-    else:
-        coincide, coincide_w = None, None
-    return StructureReport(alg.size, reports, coincide, coincide_w)
+    coincidence flag is only computed when all three tables are present."""
+    return classify_cells(alg.size, alg.ops, alg.cells, TableReports())
+
+
+def classify_cells(n: int, ops: tuple, cells, reports: TableReports) -> StructureReport:
+    """``classify_structure`` of the algebra of size ``n`` with the tables
+    ``ops`` whose entry vector is ``cells``, its tables' reports from ``reports``."""
+    n2 = n * n
+    found = {op: reports[cells[i:i + n2]] for op, i in zip(ops, range(0, len(cells), n2))}
+    coincide = _coincide(n, cells) if len(ops) == len(OP_ORDER) else (None, None)
+    return StructureReport(n, tuple((op, found.get(op)) for op in OP_ORDER), *coincide)
 
 
 def report_record(report: StructureReport) -> dict:
-    ops = {}
-    for op, rep in report.ops:
-        if rep is None:
-            ops[op.value] = None
-            continue
-        ops[op.value] = {
-            "commutative": rep.commutative,
-            "commutative_witness": _w(rep.commutative_witness),
-            "associative": rep.associative,
-            "associative_witness": _w(rep.associative_witness),
-            "latin_square": rep.latin_square,
-            "latin_square_witness": _w(rep.latin_square_witness),
-            "identity_elements": list(rep.identity_elements),
-            "is_group": rep.is_group,
-            "group_reason": rep.group_reason,
-            "is_abelian_group": rep.is_abelian_group,
-            "abelian_group_reason": rep.abelian_group_reason,
-        }
+    """``report`` for ``json``, which writes its tuples as lists."""
     return {
         "size": report.size,
-        "ops": ops,
+        "ops": {op.value: rep and rep._asdict() for op, rep in report.ops},
         "ops_coincide": report.ops_coincide,
-        "ops_coincide_witness": _w(report.ops_coincide_witness),
+        "ops_coincide_witness": report.ops_coincide_witness,
     }
-
-
-def _w(witness):
-    return list(witness) if witness is not None else None

@@ -18,6 +18,7 @@ import numpy as np
 
 from eqbench.axioms import AxiomSystem, system_ops
 from eqbench.models import FiniteAlgebra
+from eqbench.structure import OpReport
 from eqbench.terms import App, Equation, OP_ORDER, Term, Var, variables_of_equation
 
 
@@ -310,3 +311,43 @@ def scan_flags(table, n: int) -> dict:
     flags["is_group"] = group
     flags["is_abelian_group"] = group and flags["commutative"]
     return flags
+
+
+def reference_report(t, n: int) -> OpReport:
+    """OpReport of table ``t`` by plain scans in lexicographic order."""
+    rng = range(n)
+    comm_w = next(((a, b) for a, b in itertools.product(rng, repeat=2)
+                   if t[a][b] != t[b][a]), None)
+    assoc_w = next(((a, b, c) for a, b, c in itertools.product(rng, repeat=3)
+                    if t[t[a][b]][c] != t[a][t[b][c]]), None)
+    latin_w = next(itertools.chain(
+        (("row", i) for i in rng if sorted(t[i]) != list(rng)),
+        (("col", j) for j in rng if sorted(t[i][j] for i in rng) != list(rng))), None)
+    ids = tuple(e for e in rng if all(t[a][e] == a == t[e][a] for a in rng))
+    if assoc_w is not None:
+        group_r = f"not associative at {assoc_w}"
+    elif not ids:
+        group_r = "no identity element"
+    else:
+        group_r = next((f"no inverse for {a}" for a in rng
+                        if not any(t[a][b] == ids[0] == t[b][a] for b in rng)), None)
+    abelian_r = group_r
+    if group_r is None and comm_w is not None:
+        abelian_r = f"not commutative at {comm_w}"
+    return OpReport(
+        commutative=comm_w is None, commutative_witness=comm_w,
+        associative=assoc_w is None, associative_witness=assoc_w,
+        latin_square=latin_w is None, latin_square_witness=latin_w,
+        identity_elements=ids,
+        is_group=group_r is None, group_reason=group_r,
+        is_abelian_group=abelian_r is None, abelian_group_reason=abelian_r,
+    )
+
+
+def reference_coincide(tables: dict, n: int) -> tuple:
+    """(flag, witness) of the coincidence of the three tables: the first
+    (a, b) where ab, a:b and b/a do not all agree."""
+    p, l, r = (tables[op] for op in OP_ORDER)
+    w = next(((a, b) for a, b in itertools.product(range(n), repeat=2)
+              if not p[a][b] == l[a][b] == r[b][a]), None)
+    return w is None, w

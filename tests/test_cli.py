@@ -1,8 +1,10 @@
 import hashlib
 import importlib.util
 import io
+import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -10,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from eqbench import cli, models
+from eqbench import cli, models, structure
 from eqbench.axioms import builtin_system, merge
 from eqbench.models import (enumerate_models, from_record, make_algebra, record_line,
                              template_of, to_record)
@@ -169,6 +171,34 @@ def test_check_reports_the_first_input_error_in_input_order(tmp_path, capsys):
     code, out, err = run(capsys, "check", "--system", "C0", "--algebra", str(f))
     assert (code, out) == (cli.EXIT_CONFIG, "")
     assert err.startswith(f"error: {f}:2: bad algebra record: ")
+
+
+def test_check_compiles_an_equation_only_when_a_record_reaches_it(tmp_path, capsys):
+    # the first axiom fails on the product alone, so the second one, which
+    # needs ldiv, is never reached and its missing table is no error
+    ax = tmp_path / "ax.eq"
+    ax.write_text("ab = ba\na:b = b:a\n")
+    f = tmp_path / "prod.jsonl"
+    f.write_text('{"size":2,"ops":{"prod":[[0,0],[1,1]]},"constants":{}}\n')
+    assert run(capsys, "check", "--system", str(ax), "--algebra", str(f)) == (
+        cli.EXIT_NEGATIVE, "fails ax: a b = b a at a=0, b=1\n", "")
+    # a record that gets past the first axiom does need the table
+    f.write_text('{"size":2,"ops":{"prod":[[0,0],[1,1]]},"constants":{}}\n'
+                 '{"size":2,"ops":{"prod":[[0,1],[1,0]]},"constants":{}}\n')
+    assert run(capsys, "check", "--system", str(ax), "--algebra", str(f)) == (
+        cli.EXIT_CONFIG, "", "error: missing table ldiv\n")
+
+
+def test_check_reports_a_missing_constant_at_the_first_record_of_its_shape(tmp_path, capsys):
+    # good records of one shape, then a shape without the constant, then a
+    # line that is no record: the constant is the first error
+    good = [record_line(make_algebra(2, {Op.PROD: [[0, 1], [1, 0]]}, {"e": 0})),
+            record_line(make_algebra(2, {Op.PROD: [[1, 0], [0, 1]]}, {"e": 1}))]
+    f = tmp_path / "mixed.jsonl"
+    f.write_text("\n".join([*good, *good, _PROD_ONLY.strip(), *good, "not json"]) + "\n")
+    assert run(capsys, "check", "--system", "Mx_neutral", "--algebra", str(f)) == (
+        cli.EXIT_CONFIG, "",
+        "error: system 'Mx_neutral' names constant 'e' but the algebra does not define it\n")
 
 
 def test_check_failure_reports_witness_and_exit1(tmp_path, capsys):
@@ -392,6 +422,40 @@ def test_check_and_classify_answer_the_same_from_a_file_and_stdin(tmp_path, caps
                 assert run(capsys, *argv, "-") == from_file, (name, argv)
                 # answers, or C1's missing-table error on the G1 records
                 assert from_file[1] or from_file[0] == cli.EXIT_CONFIG
+
+
+def test_classify_memo_stays_within_its_bound(tmp_path, capsys, monkeypatch):
+    # every table of size 2 and 300 of size 3, twice, more than the bound
+    # holds: the answers are those of a run with room for every table
+    tables = [[list(flat[:2]), list(flat[2:])] for flat in itertools.product(range(2), repeat=4)]
+    rng = random.Random(14)
+    tables += [[[rng.randrange(3) for _ in range(3)] for _ in range(3)] for _ in range(300)]
+    f = tmp_path / "tables.jsonl"
+    f.write_text("".join(record_line(make_algebra(len(t), {Op.PROD: t})) + "\n"
+                         for t in tables * 2))
+    memos, held = [], []
+
+    class Recorded(structure.TableReports):
+        def __init__(self):
+            super().__init__()
+            memos.append(self)
+
+        def __missing__(self, cells):  # a scan, and the memo's size after it
+            report = super().__missing__(cells)
+            held.append(len(self))
+            return report
+
+    monkeypatch.setattr(cli, "TableReports", Recorded)
+    want = run(capsys, "classify", "--algebra", str(f), "--format", "records")
+    assert want[0] == 0 and held == list(range(1, len(tables) + 1))
+    # equal reports are one object
+    memo = memos.pop()
+    assert len(set(map(id, memo.values()))) == len(set(memo.values())) < len(tables)
+    held.clear()
+    monkeypatch.setattr(structure, "_MEMO_TABLES", 5)
+    assert run(capsys, "classify", "--algebra", str(f), "--format", "records") == want
+    # cleared so often, the memo never hits, and never holds more than 5
+    assert len(held) == 2 * len(tables) and max(held) == 5
 
 
 # ---------------------------------------------------------------------------

@@ -13,21 +13,29 @@ systems the records ``enumerate`` writes from the search's entry vectors
 are checked against the algebras ``enumerate_models`` yields.  The random
 candidates, with instances of the systems' axioms that ``derive`` proves,
 check the proof-first order of ``semantic_consequence`` against the search
-alone.
+alone.  Random record files of several shapes check that ``check`` and
+``classify``, which read each record as an entry vector, answer as
+``find_violation`` and the oracle's scans do.
 """
 
 import itertools
+import json
 import random
 
 from eqbench import cli
-from eqbench.axioms import builtin_system, make_system, system_ops
+from eqbench.axioms import builtin_system, empty_system, make_system, system_ops
 from eqbench.consequence import HoldsUpTo, Proved, Refuted, derive, semantic_consequence
+from eqbench.structure import StructureReport
 from eqbench.models import (
     EnumOptions,
+    MissingConstantError,
+    MissingTableError,
     ResourceLimitError,
+    bind_constants,
     canonical_form,
     enumerate_models,
     find_violation,
+    from_record,
     is_canonical,
     make_algebra,
     record_line,
@@ -53,6 +61,8 @@ from oracles import (
     o_satisfies,
     oracle_canonical,
     oracle_models,
+    reference_coincide,
+    reference_report,
 )
 from reference import search_verdict
 
@@ -388,3 +398,95 @@ def test_cli_records_match_the_algebras_enumerate_models_yields(capsys, monkeypa
             assert capsys.readouterr().out == f"{want.count(chr(10))}\n"
             runs += bool(want)
     assert runs >= 200
+
+
+# ---------------------------------------------------------------------------
+# check and classify read records as entry vectors
+
+def _record_file(rng, sys_):
+    """Record lines of two to four shapes, sizes 1-3, each with the system's
+    tables and constants and up to 3 tables and 2 constants in all; now and
+    then a shape lacks one of them.  Some lines carry spaces or another key
+    order, which no shape's pattern matches, so ``json`` reads them."""
+    need_ops, need_names = system_ops(sys_), sorted(sys_.constants)
+    shapes = []
+    for _ in range(rng.randint(2, 4)):
+        ops = {*need_ops, *rng.sample(OP_ORDER, rng.randint(0, 3 - len(need_ops)))}
+        names = {*need_names, *rng.sample(["d", "f"], rng.randint(0, 2 - len(need_names)))}
+        if rng.random() < 0.1:
+            ops.discard(rng.choice(OP_ORDER))
+        if rng.random() < 0.1 and names:
+            names.discard(rng.choice(sorted(names)))
+        shapes.append((rng.randint(1, 3), [op for op in OP_ORDER if op in ops], sorted(names)))
+    lines = []
+    for _ in range(rng.randint(1, 30)):
+        n, ops, names = rng.choice(shapes)
+        rec = {"size": n,
+               "ops": {op.value: [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
+                       for op in ops},
+               "constants": {x: rng.randrange(n) for x in names}}
+        style = rng.random()
+        lines.append(json.dumps(rec) if style < 0.15 else
+                     json.dumps(dict(reversed(rec.items())), separators=(",", ":"))
+                     if style < 0.25 else json.dumps(rec, separators=(",", ":")))
+    return lines
+
+
+def _expected_check(sys_, algebras, fmt):
+    """check's (exit, stdout, stderr), equation by equation through
+    find_violation, in the order check meets them."""
+    lines, code = [], cli.EXIT_OK
+    try:
+        for alg in algebras:
+            bound = bind_constants(alg, sys_)
+            failed, witness = next(((eq, w) for eq in sys_.equations
+                                    if (w := find_violation(alg, eq, bound)) is not None),
+                                   (None, None))
+            if failed is not None:
+                code, witness = cli.EXIT_NEGATIVE, tuple(sorted(witness.items()))
+            lines.append(cli._check_line(sys_.name, failed, witness, fmt))
+    except (MissingConstantError, MissingTableError) as exc:
+        return cli.EXIT_CONFIG, "", f"error: {exc}\n"
+    return code, "".join(line + "\n" for line in lines), ""
+
+
+def _expected_classify(algebras, fmt):
+    """classify's stdout, from the oracle's scans of each table."""
+    out = []
+    for alg in algebras:
+        n, tables = alg.size, dict(alg.tables)
+        reports = tuple((op, reference_report(tables[op], n) if op in tables else None)
+                        for op in OP_ORDER)
+        coincide = reference_coincide(tables, n) if len(tables) == 3 else (None, None)
+        out.append(cli._classify_text(StructureReport(n, reports, *coincide), fmt) + "\n")
+    return "".join(out)
+
+
+def test_check_and_classify_on_entry_vectors_match_the_scans(tmp_path, capsys, monkeypatch):
+    systems = {}
+    monkeypatch.setattr(cli, "_resolve_system",
+                        lambda name: systems.get(name) or builtin_system(name))
+    rng = random.Random(1895_14)
+    cases = [sys_ for sys_, _, _ in _random_cases()] + [sys_ for sys_, _, _ in _constant_cases()]
+    cases += [builtin_system(name) for name in ("C0", "C1", "Mx_neutral", "G1")]
+    cases += [empty_system()] * 5
+    f = tmp_path / "records.jsonl"
+    codes, shapes, missed = set(), set(), 0
+    for sys_ in cases:
+        systems[sys_.name] = sys_
+        lines = _record_file(rng, sys_)
+        f.write_text("".join(line + "\n" for line in lines))
+        algebras = [from_record(json.loads(line)) for line in lines]
+        shapes |= {(alg.size, len(alg.tables), len(alg.constants)) for alg in algebras}
+        missed += any(" " in line or line.startswith('{"c') for line in lines)
+        for fmt in ("text", "records"):
+            got = cli.main(["check", "--system", sys_.name, "--algebra", str(f), "--format", fmt])
+            out, err = capsys.readouterr()
+            assert (got, out, err) == _expected_check(sys_, algebras, fmt), sys_
+            codes.add(got)
+            assert cli.main(["classify", "--algebra", str(f), "--format", fmt]) == 0
+            assert capsys.readouterr().out == _expected_classify(algebras, fmt), sys_
+    # satisfied, failed and wrong-shaped records of every size, number of
+    # tables and number of constants, read by both readers
+    assert codes == {0, 1, 2} and missed >= len(cases) // 2
+    assert [set(column) for column in zip(*shapes)] == [{1, 2, 3}, {0, 1, 2, 3}, {0, 1, 2}]

@@ -28,7 +28,7 @@ from eqbench.models import (
     _numeral,
     _search,
 )
-from eqbench.cli import CliError, _read_algebra_records
+from eqbench.cli import CliError, _read_records
 from eqbench.terms import OP_ORDER, Op, parse_equation, parse_term
 
 from oracles import (
@@ -436,10 +436,10 @@ MALFORMED_RECORDS = {
 }
 
 
-def _read_records(tmp_path, lines):
+def _read_algebras(tmp_path, lines):
     path = tmp_path / "records.jsonl"
     path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
-    return list(_read_algebra_records(str(path)))
+    return [t.algebra(v) for t, v in _read_records(str(path))]
 
 
 @pytest.mark.parametrize("name", MALFORMED_RECORDS)
@@ -452,7 +452,7 @@ def test_from_record_on_odd_and_malformed_input(tmp_path, name):
             from_record(rec)
         assert str(err.value) == f"malformed algebra record: {want}"
         with pytest.raises(CliError) as err:
-            _read_records(tmp_path, lines)
+            _read_algebras(tmp_path, lines)
         assert str(err.value) == (f"{tmp_path / 'records.jsonl'}:2: bad algebra record: "
                                   f"malformed algebra record: {want}")
         return
@@ -460,7 +460,7 @@ def test_from_record_on_odd_and_malformed_input(tmp_path, name):
     assert (got.table(Op.PROD), got.constants) == want
     assert {type(x) for x in got.cells} == {int}
     assert from_record(json.loads(record_line(got))) == got
-    assert _read_records(tmp_path, lines) == [alg(2, prod=_P2), got]
+    assert _read_algebras(tmp_path, lines) == [alg(2, prod=_P2), got]
 
 
 def test_record_codec_matches_json(tmp_path):
@@ -481,8 +481,10 @@ def test_record_codec_matches_json(tmp_path):
         assert lines == [json.dumps(to_record(a), separators=(",", ":"))
                          for a in (first, second)]
         # the second line is read with the pattern of the first one's shape
-        assert template_of(first).read(lines[1]) == second
-        assert _read_records(tmp_path, lines) == [from_record(json.loads(line))
+        template = template_of(first)
+        entries = template.line.fullmatch(lines[1]).groups()
+        assert template.algebra(tuple(map(int, entries))) == second
+        assert _read_algebras(tmp_path, lines) == [from_record(json.loads(line))
                                                   for line in lines]
 
 

@@ -6,7 +6,6 @@ import pytest
 from eqbench.axioms import builtin_system, merge
 from eqbench.models import MissingTableError, enumerate_models, make_algebra
 from eqbench.structure import (
-    OpReport,
     classify_op,
     classify_structure,
     identity_elements,
@@ -20,7 +19,7 @@ from eqbench.structure import (
 )
 from eqbench.terms import OP_ORDER, Op
 
-from oracles import scan_flags
+from oracles import reference_report, scan_flags
 
 Z2 = [[0, 1], [1, 0]]
 Z3 = [[(i + j) % 3 for j in range(3)] for i in range(3)]
@@ -91,37 +90,6 @@ def test_all_flags_vs_independent_scanner():
         assert is_abelian_group(a, Op.PROD)[0] == want["is_abelian_group"]
 
 
-def _reference_report(t, n):
-    """OpReport of table ``t`` by plain scans in lexicographic order."""
-    rng = range(n)
-    comm_w = next(((a, b) for a, b in itertools.product(rng, repeat=2)
-                   if t[a][b] != t[b][a]), None)
-    assoc_w = next(((a, b, c) for a, b, c in itertools.product(rng, repeat=3)
-                    if t[t[a][b]][c] != t[a][t[b][c]]), None)
-    latin_w = next(itertools.chain(
-        (("row", i) for i in rng if sorted(t[i]) != list(rng)),
-        (("col", j) for j in rng if sorted(t[i][j] for i in rng) != list(rng))), None)
-    ids = tuple(e for e in rng if all(t[a][e] == a == t[e][a] for a in rng))
-    if assoc_w is not None:
-        group_r = f"not associative at {assoc_w}"
-    elif not ids:
-        group_r = "no identity element"
-    else:
-        group_r = next((f"no inverse for {a}" for a in rng
-                        if not any(t[a][b] == ids[0] == t[b][a] for b in rng)), None)
-    abelian_r = group_r
-    if group_r is None and comm_w is not None:
-        abelian_r = f"not commutative at {comm_w}"
-    return OpReport(
-        commutative=comm_w is None, commutative_witness=comm_w,
-        associative=assoc_w is None, associative_witness=assoc_w,
-        latin_square=latin_w is None, latin_square_witness=latin_w,
-        identity_elements=ids,
-        is_group=group_r is None, group_reason=group_r,
-        is_abelian_group=abelian_r is None, abelian_group_reason=abelian_r,
-    )
-
-
 def test_classify_op_matches_reference_scans():
     # every size-2 table, then a seeded sample of size-3 tables, each under
     # one of the three operations
@@ -136,7 +104,7 @@ def test_classify_op_matches_reference_scans():
         op = OP_ORDER[i % 3]
         a = make_algebra(n, {op: table})
         got = classify_op(a, op)
-        assert got == _reference_report(table, n), table
+        assert got == reference_report(table, n), table
         want = scan_flags(table, n)
         assert {k: getattr(got, k) for k in want if k != "identity_elements"} == \
             {k: v for k, v in want.items() if k != "identity_elements"}, table
