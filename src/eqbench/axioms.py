@@ -15,14 +15,11 @@ from pathlib import Path
 from .terms import (
     Equation,
     ParseError,
-    Var,
-    VARIABLE_ALPHABET,
     equation_key,
     format_equation,
+    normalize_variables,
     operations_of_equation,
     parse_equation,
-    substitute,
-    variables_of_equation,
 )
 
 
@@ -50,14 +47,8 @@ class AxiomSystem:
         return f"{self.name}: {{{eqs}}}"
 
 
-def normalize_equation(eq: Equation, constants: frozenset = frozenset()) -> Equation:
-    """Rename the variables of ``eq`` to a, b, c, ... in first-occurrence
-    order (lhs then rhs), leaving any distinguished constants untouched."""
-    fresh = (c for c in VARIABLE_ALPHABET if c not in constants)
-    table = {}
-    for name in variables_of_equation(eq):
-        table[name] = Var(name) if name in constants else Var(next(fresh))
-    return Equation(substitute(eq.lhs, table), substitute(eq.rhs, table))
+#: ``terms.normalize_variables``, under the name this module exports
+normalize_equation = normalize_variables
 
 
 def make_system(name: str, equations, constants=()) -> AxiomSystem:
@@ -67,7 +58,7 @@ def make_system(name: str, equations, constants=()) -> AxiomSystem:
     kept = []
     seen = set()
     for eq in equations:
-        key = equation_key(normalize_equation(eq, constants))
+        key = equation_key(normalize_variables(eq, constants))
         if key not in seen:
             seen.add(key)
             kept.append(eq)
@@ -102,7 +93,7 @@ def system_content_key(sys: AxiomSystem) -> str:
     Used as a cache key so that renamed-but-equal systems share entries.
     """
     lines = sorted(
-        format_equation(normalize_equation(eq, sys.constants)) for eq in sys.equations
+        format_equation(normalize_variables(eq, sys.constants)) for eq in sys.equations
     )
     payload = "\n".join(lines + ["constants: " + ",".join(sorted(sys.constants))])
     return hashlib.sha256(payload.encode()).hexdigest()

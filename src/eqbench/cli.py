@@ -48,9 +48,8 @@ from .models import (
     MissingTableError,
     ResourceLimitError,
     ShapeTemplate,
-    _compile,
-    _layout,
     bind_constants,
+    compile_check,
     enumerate_models,
     enumerate_vectors,
     from_record,
@@ -317,14 +316,13 @@ def _first_failure(template: ShapeTemplate, sys_: AxiomSystem, v: tuple):
     shape, such as ``v``, or (None, None).  A constant the shape lacks is
     missing at once, a table only when an equation that needs it is reached."""
     bind_constants(template.algebra(v), sys_)
-    n, base = template.size, _layout(template.size, template.ops, ())[0]
-    slot = {x: len(base) * n * n + template.names.index(x) for x in sys_.constants}
     checks = []
 
     def first_failure(v):
         for k, eq in enumerate(sys_.equations):
             if k == len(checks):
-                checks.append(_compile(eq, n, base, slot))
+                checks.append(compile_check(eq, template.size, template.ops, template.names,
+                                            sys_.constants))
             if (witness := checks[k](v)) is not None:
                 return eq, tuple(sorted(witness.items()))
         return None, None

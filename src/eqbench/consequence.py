@@ -2,7 +2,7 @@
 
 Two complementary engines:
 
-* the countermodel search (``models._search``) hunts for a finite model of
+* the countermodel search (``models._vectors``) hunts for a finite model of
   the system on which the identity fails;
 * ``derive`` searches for an equational derivation (reflexivity, symmetry,
   transitivity, congruence, substitution, axiom instances) within term-depth
@@ -35,11 +35,10 @@ from .models import (
     DEFAULT_SIZE_LIMIT,
     FiniteAlgebra,
     ResourceLimitError,
-    _search,
-    bind_constants,
-    find_violation,
+    _vectors,
+    compile_check,
+    shape_template,
     to_record,
-    violation_finder,
 )
 from .terms import (
     App,
@@ -137,21 +136,23 @@ def _search_ops(sys: AxiomSystem, cand: Equation) -> tuple:
     return tuple(op for op in OP_ORDER if op in wanted)
 
 
-def _refuting_size(sys: AxiomSystem, cand: Equation, max_size: int, pool: list,
+def _refuting_size(sys: AxiomSystem, cand: Equation, max_size: int, pool: dict,
                    max_nodes: int = DEFAULT_SEARCH_NODES) -> Optional[int]:
     """The size of a model of ``sys`` of size <= ``max_size`` on which
     ``cand`` fails, or None when it holds in every such model; the smallest
     such size when ``pool`` is empty.
 
-    The steps run in the order the module docstring gives.  ``pool`` holds
-    the (countermodel, its tables, its constants) triples found so far, and
-    a countermodel a search finds joins it.
+    The steps run in the order the module docstring gives.  ``pool`` maps
+    each (size, table order) to the entry vectors of the countermodels of
+    that layout found so far, and a countermodel a search finds joins it.
     """
     needed = operations_of_equation(cand)
-    find = violation_finder(cand)
-    for alg, ops, bound in pool:
-        if needed <= ops and find(alg, bound) is not None:
-            return alg.size
+    names = tuple(sorted(sys.constants))
+    for (k, ops), vectors in pool.items():
+        if needed.issubset(ops):
+            check = compile_check(cand, k, ops, names)
+            if any(check(v) is not None for v in vectors):
+                return k
     # the candidate's tables first decide it earliest and prune hardest
     ops = tuple(sorted(_search_ops(sys, cand), key=lambda op: op not in needed))
     for k in range(1, max_size + 1):
@@ -159,9 +160,9 @@ def _refuting_size(sys: AxiomSystem, cand: Equation, max_size: int, pool: list,
         # only sees the candidates the cheap refutations left standing
         if k == 3 and isinstance(derive(sys, cand), Proved):
             return None
-        alg = next(_search(sys, k, ops, cand, max_nodes), None)
-        if alg is not None:
-            pool.append((alg, set(alg.ops), bind_constants(alg, sys)))
+        v = next(_vectors(sys, k, ops, cand, max_nodes), None)
+        if v is not None:
+            pool.setdefault((k, ops), []).append(v)
             return k
     return None
 
@@ -173,12 +174,13 @@ def semantic_consequence(sys: AxiomSystem, cand: Equation, max_size: int,
     smallest size, or HoldsUpTo(max_size) when no model of size <= max_size
     violates ``cand``, decided as the consequence sets decide it."""
     _check_size(max_size, allow_large)
-    k = _refuting_size(sys, cand, max_size, [], max_nodes)
+    k = _refuting_size(sys, cand, max_size, {}, max_nodes)
     if k is None:
         return HoldsUpTo(max_size)
-    alg = next(_search(sys, k, _search_ops(sys, cand), cand, max_nodes))
-    witness = find_violation(alg, cand, bind_constants(alg, sys))
-    return Refuted(alg, tuple(sorted(witness.items())))
+    ops, names = _search_ops(sys, cand), tuple(sorted(sys.constants))
+    v = next(_vectors(sys, k, ops, cand, max_nodes))
+    witness = compile_check(cand, k, ops, names)(v)
+    return Refuted(shape_template(k, ops, names).algebra(v), tuple(sorted(witness.items())))
 
 
 def _check_size(max_size: int, allow_large: bool):
@@ -227,7 +229,7 @@ def consequence_set(sys: AxiomSystem, space: Optional[CandidateSpace] = None,
     """Candidates holding in every model of ``sys`` up to ``model_size``,
     i.e. the bounded proxy for the system's deductive strength."""
     _check_size(model_size, allow_large)
-    pool = []
+    pool = {}
     return tuple(eq for eq in candidate_identities(space or CandidateSpace())
                  if _refuting_size(sys, eq, model_size, pool) is None)
 

@@ -1,11 +1,12 @@
 """Finite algebras on {0..n-1}: evaluation, satisfaction, enumeration, and
 isomorphism classification.
 
-One evaluator serves every identity check: ``_compile`` turns an equation
-into closures over a flat vector of table cells, one per term node, each
-giving the node's values under all assignments at once.  Each equation is
-compiled once per size and table layout and reused across records, search
-branches and pooled countermodels.
+One evaluator serves every identity check: ``compile_check`` turns an
+equation into closures over the entry vectors of one shape (size, table
+order, constant names), one per term node, each giving the node's values
+under all assignments at once.  Its callers compile each equation once per
+shape and reuse it across records, search branches and pooled
+countermodels.
 
 Enumeration fills table cells in a fixed order (tables in canonical operation
 order, row-major, then constants), so the emitted stream is in lexicographic
@@ -91,9 +92,6 @@ class FiniteAlgebra:
             if o is op:
                 return t
         raise MissingTableError(f"missing table {op.value}")
-
-    def constant_map(self) -> dict:
-        return dict(self.constants)
 
     @cached_property
     def cells(self) -> tuple:
@@ -208,20 +206,15 @@ def _layout(n: int, ops, names) -> tuple:
     return base, {name: len(base) * n * n + k for k, name in enumerate(names)}
 
 
-def violation_finder(eq: Equation):
-    """``find(alg, constants)`` as ``find_violation(alg, eq, constants)``,
-    compiling ``eq`` once per size, table order and constant names."""
-    compiled = {}
-
-    def find(alg: FiniteAlgebra, constants: Optional[Mapping] = None):
-        fixed = dict(constants) if constants else {}
-        key = (alg.size, alg.ops, *fixed)
-        check = compiled.get(key)
-        if check is None:
-            check = compiled[key] = _compile(eq, alg.size, *_layout(alg.size, alg.ops, fixed))
-        return check(alg.cells + tuple(fixed.values()))
-
-    return find
+def compile_check(eq: Equation, n: int, ops: tuple, names: tuple, bound=None):
+    """Checker for ``eq`` on the entry vectors of size ``n`` with the tables
+    ``ops`` and the constants ``names``: the variables in ``bound`` (all of
+    ``names`` by default) read their constants' values, and it returns the
+    first failing assignment of the others, as find_violation does, or None."""
+    base, slot = _layout(n, ops, names)
+    if bound is not None:
+        slot = {x: slot[x] for x in bound}
+    return _compile(eq, n, base, slot)
 
 
 def _in_carrier(alg: FiniteAlgebra, values: Mapping) -> Mapping:
@@ -242,7 +235,8 @@ def eval_term(alg: FiniteAlgebra, t: Term, v: Mapping) -> int:
 def find_violation(alg: FiniteAlgebra, eq: Equation, constants: Optional[Mapping] = None):
     """First assignment (variables in first-occurrence order, values counted
     up lexicographically) on which the two sides differ, or None."""
-    return violation_finder(eq)(alg, constants and _in_carrier(alg, constants))
+    fixed = _in_carrier(alg, constants) if constants else {}
+    return compile_check(eq, alg.size, alg.ops, tuple(fixed))(alg.cells + tuple(fixed.values()))
 
 
 def satisfies(alg: FiniteAlgebra, eq: Equation, constants: Optional[Mapping] = None) -> bool:
@@ -251,7 +245,7 @@ def satisfies(alg: FiniteAlgebra, eq: Equation, constants: Optional[Mapping] = N
 
 
 def bind_constants(alg: FiniteAlgebra, sys: AxiomSystem) -> dict:
-    values = alg.constant_map()
+    values = dict(alg.constants)
     bound = {}
     for name in sorted(sys.constants):
         if name not in values:
@@ -261,18 +255,10 @@ def bind_constants(alg: FiniteAlgebra, sys: AxiomSystem) -> dict:
     return bound
 
 
-_last_system: tuple = (None, ())  # the system satisfies_all last compiled
-
-
 def satisfies_all(alg: FiniteAlgebra, sys: AxiomSystem) -> bool:
-    """True iff every equation of ``sys`` holds; its equations are compiled
-    once for as long as the same system object is passed."""
-    global _last_system
-    last = _last_system
-    if last[0] is not sys:
-        last = _last_system = (sys, tuple(map(violation_finder, sys.equations)))
+    """True iff every equation of ``sys`` holds."""
     bound = bind_constants(alg, sys)
-    return all(find(alg, bound) is None for find in last[1])
+    return all(find_violation(alg, eq, bound) is None for eq in sys.equations)
 
 
 # ---------------------------------------------------------------------------
@@ -665,11 +651,8 @@ class ShapeTemplate:
         getters = [(op, rows(i * n * n)) for i, op in enumerate(ops)]
 
         def algebra(c: tuple) -> FiniteAlgebra:
-            alg = FiniteAlgebra(n, tuple([(op, get(c)) for op, get in getters]),
-                                tuple(zip(names, c[start:])))
-            # the values of its cached properties, known here
-            alg.__dict__.update(ops=ops, cells=c[:start])
-            return alg
+            return FiniteAlgebra(n, tuple([(op, get(c)) for op, get in getters]),
+                                 tuple(zip(names, c[start:])))
 
         return algebra
 

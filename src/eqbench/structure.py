@@ -102,22 +102,27 @@ def classify_op(alg: FiniteAlgebra, op: Op) -> OpReport:
     return _scan(tuple(chain.from_iterable(alg.table(op))))
 
 
-#: the most tables a TableReports keeps; every table of size 3 fits (3^9)
-_MEMO_TABLES = 1 << 15
+#: the most cells the tables a TableReports keeps may hold; every table of
+#: size 3 fits (3^9 tables of 9 cells)
+_MEMO_CELLS = 9 * 3 ** 9
 
 
 class TableReports(dict):
-    """A table's cells, row-major, -> its report, scanned on first lookup; at
-    most _MEMO_TABLES tables are kept, all dropped when full, equal reports shared."""
+    """A table's cells, row-major, -> its report, scanned on first lookup,
+    equal reports shared; all are dropped when keeping one more table would
+    pass _MEMO_CELLS cells, and a table larger than that is kept alone."""
 
     def __init__(self):
         super().__init__()
         self.interned = {}
+        self.held = 0  # cells
 
     def __missing__(self, cells: tuple) -> OpReport:
-        if len(self) >= _MEMO_TABLES:
+        self.held += len(cells)
+        if self.held > _MEMO_CELLS:
             self.clear()
             self.interned.clear()
+            self.held = len(cells)
         report = _scan(cells)
         self[cells] = report = self.interned.setdefault(report, report)
         return report

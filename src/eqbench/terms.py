@@ -88,10 +88,6 @@ class App:
 
 Term = Union[Var, App]
 
-# Assignments map variable names to whatever the use site needs
-# (carrier elements during evaluation, terms during substitution).
-Assignment = Mapping[str, object]
-
 
 @dataclass(frozen=True)
 class Equation:
@@ -336,10 +332,15 @@ def equation_key(eq: Equation) -> tuple:
     return (term_key(eq.lhs), term_key(eq.rhs))
 
 
-def normalize_variables(eq: Equation) -> Equation:
-    """Rename variables to a, b, c, ... in first-occurrence order (lhs then rhs)."""
-    names = variables_of_equation(eq)
-    table = {old: Var(VARIABLE_ALPHABET[i]) for i, old in enumerate(names)}
+def normalize_variables(eq: Equation, constants: frozenset = frozenset()) -> Equation:
+    """Rename variables to a, b, c, ... in first-occurrence order (lhs then
+    rhs), skipping the letters of ``constants``, which keep their names."""
+    names, table, letters = variables_of_equation(eq), {}, VARIABLE_ALPHABET
+    if constants:
+        table = {x: Var(x) for x in constants.intersection(names)}
+        letters = [x for x in letters if x not in constants]
+        names = [x for x in names if x not in constants]
+    table.update(zip(names, map(Var, letters)))
     return Equation(substitute(eq.lhs, table), substitute(eq.rhs, table))
 
 

@@ -440,22 +440,23 @@ def test_classify_memo_stays_within_its_bound(tmp_path, capsys, monkeypatch):
             super().__init__()
             memos.append(self)
 
-        def __missing__(self, cells):  # a scan, and the memo's size after it
+        def __missing__(self, cells):  # a scan, and the tables and cells held after it
             report = super().__missing__(cells)
-            held.append(len(self))
+            held.append((len(self), sum(map(len, self))))
             return report
 
     monkeypatch.setattr(cli, "TableReports", Recorded)
     want = run(capsys, "classify", "--algebra", str(f), "--format", "records")
-    assert want[0] == 0 and held == list(range(1, len(tables) + 1))
+    assert want[0] == 0 and [k for k, _ in held] == list(range(1, len(tables) + 1))
     # equal reports are one object
     memo = memos.pop()
     assert len(set(map(id, memo.values()))) == len(set(memo.values())) < len(tables)
     held.clear()
-    monkeypatch.setattr(structure, "_MEMO_TABLES", 5)
+    monkeypatch.setattr(structure, "_MEMO_CELLS", 45)
     assert run(capsys, "classify", "--algebra", str(f), "--format", "records") == want
-    # cleared so often, the memo never hits, and never holds more than 5
-    assert len(held) == 2 * len(tables) and max(held) == 5
+    # cleared so often, the memo never hits, and never holds more than 45
+    # cells: five tables of size 3
+    assert len(held) == 2 * len(tables) and max(c for _, c in held) == 45
 
 
 # ---------------------------------------------------------------------------

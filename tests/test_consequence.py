@@ -1,8 +1,10 @@
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from eqbench import consequence
 from eqbench.axioms import BUILTIN_NAMES, builtin_system, empty_system, make_system
 from eqbench.consequence import (
     CandidateSpace,
@@ -19,9 +21,10 @@ from eqbench.consequence import (
     validate_derivation,
     verdict_record,
 )
-from eqbench.models import ResourceLimitError, eval_term, to_record
+from eqbench.models import ResourceLimitError, compile_check, eval_term, to_record
 from eqbench.terms import (
     App,
+    Op,
     Var,
     canonical_equation,
     format_equation,
@@ -280,6 +283,36 @@ def test_consequence_set_equals_semantic_filter(name, size):
     want = tuple(cand for cand in candidate_identities(space)
                  if search_verdict(sys_, cand, size) == HoldsUpTo(size))
     assert consequence_set(sys_, space, size) == want
+
+
+def test_pool_compiles_each_candidate_once_per_layout(monkeypatch):
+    # every consequence_set of the power workload, each pooled layout's
+    # vectors read by one compiled check per candidate
+    compiled = []
+
+    def counting(eq, n, ops, names, bound=None):
+        compiled.append((eq, n, ops))
+        return compile_check(eq, n, ops, names, bound)
+
+    monkeypatch.setattr(consequence, "compile_check", counting)
+    for name in ("C0", "C1", "C2", "C3", "Mx_as_printed", "Mx_neutral"):
+        compiled.clear()
+        consequence_set(builtin_system(name), CandidateSpace(2, 1), 3)
+        assert compiled and Counter(compiled).most_common(1)[0][1] == 1, name
+
+
+def test_pool_reads_each_vector_in_its_own_table_order(monkeypatch):
+    # a:a = a holds in the ldiv table [[0, 0], [1, 1]] and fails in
+    # [[1, 0], [0, 1]]; the second layout's vector refutes it only when its
+    # ldiv table is read first, as its order says
+    cand = parse_equation("a:a = a")
+    holds = (0, 1, 0, 1) + (0, 0, 1, 1)                  # prod, ldiv
+    refutes = (1, 0, 0, 1) + (0, 0, 1, 1)                # ldiv, prod
+    monkeypatch.setattr(consequence, "_vectors", lambda *args: iter(()))
+    pool = {(2, (Op.PROD, Op.LDIV)): [holds], (2, (Op.LDIV, Op.PROD)): [refutes]}
+    assert consequence._refuting_size(empty_system(), cand, 2, pool) == 2
+    misread = {(2, (Op.PROD, Op.LDIV)): [holds, refutes]}
+    assert consequence._refuting_size(empty_system(), cand, 2, misread) is None
 
 
 # ---------------------------------------------------------------------------
