@@ -8,7 +8,6 @@ them as fixed elements rather than universally quantified variables.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -92,6 +91,8 @@ def system_content_key(sys: AxiomSystem) -> str:
 
     Used as a cache key so that renamed-but-equal systems share entries.
     """
+    import hashlib  # here, so the commands that never key a cache skip it
+
     lines = sorted(
         format_equation(normalize_variables(eq, sys.constants)) for eq in sys.equations
     )

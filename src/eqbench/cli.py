@@ -7,6 +7,9 @@ audit.  Output is either human-readable text or line-delimited JSON records
 Exit codes: 0 success; 1 negative verdict (not proved / not refuted /
 does not satisfy); 2 configuration or input error; 3 resource cap;
 4 I/O failure.
+
+Each command imports the modules only it runs (``consequence``, ``power``,
+``structure``) when it starts, so the others are never loaded.
 """
 
 from __future__ import annotations
@@ -15,9 +18,8 @@ import argparse
 import json
 import os
 import sys as _sys
-import tempfile
 from contextlib import nullcontext
-from functools import lru_cache
+from functools import lru_cache, partial
 from pathlib import Path
 
 from .axioms import (
@@ -31,15 +33,6 @@ from .axioms import (
     make_system,
     merge,
     system_content_key,
-)
-from .consequence import (
-    CandidateSpace,
-    DeriveBudgets,
-    Proved,
-    Refuted,
-    derive,
-    semantic_consequence,
-    verdict_record,
 )
 from .models import (
     EnumOptions,
@@ -58,9 +51,6 @@ from .models import (
     template_of,
     to_record,
 )
-from .power import compare, power_record, rank_all, rank_record
-from .structure import (StructureReport, TableReports, classify_cells, is_abelian_group,
-                        report_record)
 from .terms import Op, ParseError, format_equation, parse_equation
 
 EXIT_OK = 0
@@ -221,6 +211,8 @@ def _write_cache(path: Path, body: str):
     """Write the record lines ``body`` and the end marker through a temp
     file of this writer's own, then rename it into place, so readers never
     see a partial file."""
+    import tempfile
+
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.stem + ".", suffix=".tmp")
     try:
@@ -344,9 +336,10 @@ def cmd_check(args) -> int:
     return code
 
 
-@lru_cache(maxsize=4096)
-def _classify_text(report: StructureReport, fmt: str) -> str:
+def _classify_text(report, fmt: str) -> str:
     """The answer of ``classify`` on an algebra whose report is ``report``."""
+    from .structure import report_record
+
     if fmt == "records":
         return json.dumps(report_record(report), separators=(",", ":"))
     coincide = report.ops_coincide
@@ -363,10 +356,13 @@ def _classify_text(report: StructureReport, fmt: str) -> str:
 
 
 def cmd_classify(args) -> int:
-    reports = TableReports()  # each distinct table is classified once per run
-    lines = [_classify_text(classify_cells(t.size, t.ops, v, reports), args.format)
-             for t, v in _read_records(args.algebra)]
-    _write_lines(lines)
+    from .structure import TableReports
+
+    # each distinct table is classified, and each distinct answer rendered, once
+    reports = TableReports()
+    render = partial(_classify_text, fmt=args.format)
+    _write_lines([reports.answer(t.size, t.ops, v, render)
+                  for t, v in _read_records(args.algebra)])
     return EXIT_OK
 
 
@@ -374,6 +370,8 @@ def cmd_classify(args) -> int:
 # prove / refute
 
 def cmd_prove(args) -> int:
+    from .consequence import DeriveBudgets, Proved, derive, verdict_record
+
     sys_ = _resolve_merged(args.system)
     cand = parse_equation(args.identity)
     budgets = DeriveBudgets(max_term_depth=args.max_term_depth,
@@ -393,6 +391,8 @@ def cmd_prove(args) -> int:
 
 
 def cmd_refute(args) -> int:
+    from .consequence import Refuted, semantic_consequence, verdict_record
+
     sys_ = _resolve_merged(args.system)
     cand = parse_equation(args.identity)
     verdict = semantic_consequence(sys_, cand, args.max_size,
@@ -411,11 +411,15 @@ def cmd_refute(args) -> int:
 # ---------------------------------------------------------------------------
 # compare / rank
 
-def _space(args) -> CandidateSpace:
+def _space(args):
+    from .consequence import CandidateSpace
+
     return CandidateSpace(max_vars=args.max_vars, max_depth=args.max_depth)
 
 
 def cmd_compare(args) -> int:
+    from .power import compare, power_record
+
     sys_a = _resolve_system(args.first)
     sys_b = _resolve_system(args.second)
     report = compare(sys_a, sys_b, _space(args), args.model_size)
@@ -433,6 +437,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_rank(args) -> int:
+    from .power import rank_all, rank_record
+
     systems = [_resolve_system(s) for s in args.systems]
     report = rank_all(systems, _space(args), args.model_size)
     if args.format == "records":
@@ -461,6 +467,8 @@ def cmd_audit(args) -> int:
     """For every reading of each structure's modulus, report whether all of
     its models up to the size bound are abelian groups, with the first
     countermodel when they are not."""
+    from .structure import is_abelian_group
+
     for struct, op, comm, readings in _AUDIT_ROWS:
         for reading_name in readings:
             reading = builtin_system(reading_name)

@@ -283,13 +283,6 @@ def _ordered_ops(sys: AxiomSystem, opts: EnumOptions) -> tuple:
     return tuple(op for op in OP_ORDER if op in wanted)
 
 
-def _search(sys: AxiomSystem, n: int, ops: tuple, cand: Optional[Equation] = None,
-            max_nodes: Optional[int] = None) -> Iterator[FiniteAlgebra]:
-    """The algebras of the entry vectors of ``_vectors``, in its order."""
-    yield from map(shape_template(n, ops, tuple(sorted(sys.constants))).algebra,
-                   _vectors(sys, n, ops, cand, max_nodes))
-
-
 def _vectors(sys: AxiomSystem, n: int, ops: tuple, cand: Optional[Equation] = None,
              max_nodes: Optional[int] = None) -> Iterator[tuple]:
     """Depth-first stream of the entry vectors (cells, table after table and

@@ -9,8 +9,10 @@ lexicographically first failing tuple as a witness.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain
 from math import isqrt
+from operator import itemgetter
 from typing import NamedTuple, Optional
 
 from .models import FiniteAlgebra
@@ -63,11 +65,17 @@ def ops_coincide(alg: FiniteAlgebra):
     return _coincide(alg.size, alg.cells)
 
 
+@lru_cache(maxsize=None)
+def _product_twice(n: int) -> itemgetter:
+    """The product table, then its transpose, from an entry vector of size ``n``."""
+    return itemgetter(*range(n * n), *(a * n + b for b in range(n) for a in range(n)))
+
+
 def _coincide(n: int, cells) -> tuple:
     """``ops_coincide`` of the three tables at the start of an entry vector."""
-    prod, ldiv, rdiv = (cells[i:i + n * n] for i in range(0, 3 * n * n, n * n))
-    if prod == ldiv and all(rdiv[b * n:b * n + n] == prod[b::n] for b in range(n)):
+    if _product_twice(n)(cells) == cells[n * n:3 * n * n]:
         return True, None
+    prod, ldiv, rdiv = (cells[i:i + n * n] for i in range(0, 3 * n * n, n * n))
     return False, next((a, b) for a in range(n) for b in range(n)
                        if prod[a * n + b] != ldiv[a * n + b] or rdiv[b * n + a] != prod[a * n + b])
 
@@ -110,11 +118,17 @@ _MEMO_CELLS = 9 * 3 ** 9
 class TableReports(dict):
     """A table's cells, row-major, -> its report, scanned on first lookup,
     equal reports shared; all are dropped when keeping one more table would
-    pass _MEMO_CELLS cells, and a table larger than that is kept alone."""
+    pass _MEMO_CELLS cells, and a table larger than that is kept alone.
+
+    ``answer`` keeps what a caller makes of each classification under the
+    ids of the shape and reports it was made from; each answer holds those
+    objects, so no id it is keyed by is reused while it is kept, and the
+    answers are dropped with the tables."""
 
     def __init__(self):
         super().__init__()
         self.interned = {}
+        self.answers = {}
         self.held = 0  # cells
 
     def __missing__(self, cells: tuple) -> OpReport:
@@ -122,10 +136,27 @@ class TableReports(dict):
         if self.held > _MEMO_CELLS:
             self.clear()
             self.interned.clear()
+            self.answers.clear()
             self.held = len(cells)
         report = _scan(cells)
         self[cells] = report = self.interned.setdefault(report, report)
         return report
+
+    def answer(self, n: int, ops: tuple, cells, render):
+        """``render(classify_cells(n, ops, cells, self))``, rendered once per
+        size, ``ops`` object, table reports and coincidence while kept."""
+        found, coincide = self._classified(n, ops, cells)
+        key = (n, id(ops), *map(id, found), *coincide)
+        kept = self.answers.get(key)
+        if kept is None:
+            kept = self.answers[key] = render(_report(n, ops, found, coincide)), ops, found
+        return kept[0]
+
+    def _classified(self, n: int, ops: tuple, cells) -> tuple:
+        """(the reports of the tables ``ops``, in that order, coincidence)."""
+        n2 = n * n
+        found = [self[cells[i:i + n2]] for i in range(0, len(ops) * n2, n2)]
+        return found, _coincide(n, cells) if len(ops) == len(OP_ORDER) else (None, None)
 
 
 def _scan(cells: tuple) -> OpReport:
@@ -169,10 +200,12 @@ def classify_structure(alg: FiniteAlgebra) -> StructureReport:
 def classify_cells(n: int, ops: tuple, cells, reports: TableReports) -> StructureReport:
     """``classify_structure`` of the algebra of size ``n`` with the tables
     ``ops`` whose entry vector is ``cells``, its tables' reports from ``reports``."""
-    n2 = n * n
-    found = {op: reports[cells[i:i + n2]] for op, i in zip(ops, range(0, len(cells), n2))}
-    coincide = _coincide(n, cells) if len(ops) == len(OP_ORDER) else (None, None)
-    return StructureReport(n, tuple((op, found.get(op)) for op in OP_ORDER), *coincide)
+    return _report(n, ops, *reports._classified(n, ops, cells))
+
+
+def _report(n: int, ops: tuple, found: list, coincide: tuple) -> StructureReport:
+    by_op = dict(zip(ops, found))
+    return StructureReport(n, tuple((op, by_op.get(op)) for op in OP_ORDER), *coincide)
 
 
 def report_record(report: StructureReport) -> dict:

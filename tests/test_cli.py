@@ -445,7 +445,7 @@ def test_classify_memo_stays_within_its_bound(tmp_path, capsys, monkeypatch):
             held.append((len(self), sum(map(len, self))))
             return report
 
-    monkeypatch.setattr(cli, "TableReports", Recorded)
+    monkeypatch.setattr(structure, "TableReports", Recorded)
     want = run(capsys, "classify", "--algebra", str(f), "--format", "records")
     assert want[0] == 0 and [k for k, _ in held] == list(range(1, len(tables) + 1))
     # equal reports are one object
@@ -736,3 +736,81 @@ def test_output_independent_of_hash_seed(argv):
         results.append((proc.returncode, proc.stdout))
     assert results[0] == results[1]
     assert results[0][1]
+
+
+# ---------------------------------------------------------------------------
+# start-up: a command loads only the modules it runs
+
+def _python(code, *args):
+    """Run ``code`` in a fresh interpreter on this checkout's sources; its stdout."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("EQBENCH_CACHE_DIR", None)
+    proc = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_commands_load_only_the_modules_they_run(tmp_path):
+    algebras = tmp_path / "c0.jsonl"
+    algebras.write_text("".join(record_line(alg) + "\n"
+                                for alg in enumerate_models(builtin_system("C0"), 2)))
+    out = _python(
+        "import contextlib, io, json, sys\n"
+        "import eqbench.cli\n"
+        "def loaded(argv):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert eqbench.cli.main(argv) == 0\n"
+        "    return sorted(m for m in ('consequence', 'power', 'structure')\n"
+        "                  if 'eqbench.' + m in sys.modules)\n"
+        "print(json.dumps([loaded(['enumerate', '--system', 'C0', '--size', '2', '--count']),\n"
+        "                  loaded(['classify', '--algebra', sys.argv[1]])]))\n",
+        str(algebras))
+    assert json.loads(out) == [[], ["structure"]]
+
+
+#: every name the package exports, by the module that defines it
+EXPORTS = {
+    "axioms": ["AxiomSystem", "BUILTIN_NAMES", "builtin_system", "empty_system", "load_axioms",
+               "make_system", "merge"],
+    "consequence": ["CandidateSpace", "DerivationStep", "DeriveBudgets", "HoldsUpTo", "Proved",
+                    "Refuted", "Unknown", "Verdict", "consequence_set", "derive",
+                    "semantic_consequence", "validate_derivation"],
+    "models": ["EnumOptions", "FiniteAlgebra", "canonical_form", "count_models",
+               "enumerate_models", "eval_term", "from_record", "make_algebra", "satisfies",
+               "satisfies_all", "to_record"],
+    "power": ["PowerReport", "RankReport", "compare", "rank_all"],
+    "structure": ["StructureReport", "classify_structure", "identity_elements",
+                  "is_abelian_group", "is_associative", "is_commutative", "is_group",
+                  "is_latin_square", "ops_coincide"],
+    "terms": ["App", "Equation", "Op", "ParseError", "Term", "Var", "format_equation",
+              "format_term", "parse_equation", "parse_term", "substitute", "variables_of"],
+}
+
+
+def test_package_names_resolve_to_what_their_modules_define():
+    out = _python(
+        "import importlib, json, sys\n"
+        "import eqbench\n"
+        "exports = json.loads(sys.argv[1])\n"
+        "loaded = sorted(m for m in sys.modules if m.startswith('eqbench.'))\n"
+        "# each submodule first, as a bare `import eqbench` reaches it\n"
+        "subs = {m: getattr(eqbench, m) is importlib.import_module('eqbench.' + m)\n"
+        "        for m in [*exports, 'cli']}\n"
+        "names = {n: getattr(eqbench, n) is getattr(importlib.import_module('eqbench.' + m), n)\n"
+        "         for m, ns in exports.items() for n in ns}\n"
+        "try:\n"
+        "    eqbench.no_such_name\n"
+        "    missing = 'no error'\n"
+        "except AttributeError as exc:\n"
+        "    missing = str(exc)\n"
+        "print(json.dumps([loaded, sorted(eqbench.__all__), subs, names, missing]))\n",
+        json.dumps(EXPORTS))
+    loaded, all_, subs, names, missing = json.loads(out)
+    assert loaded == []
+    assert all_ == sorted(n for ns in EXPORTS.values() for n in ns)
+    assert all(subs.values()) and len(subs) == 7
+    assert all(names.values()) and len(names) == len(all_)
+    assert missing == "module 'eqbench' has no attribute 'no_such_name'"

