@@ -8,8 +8,8 @@ them as fixed elements rather than universally quantified variables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .terms import (
     Equation,
@@ -35,8 +35,7 @@ class AxiomFileError(ValueError):
         super().__init__(f"{path}:{lineno}: {message}")
 
 
-@dataclass(frozen=True)
-class AxiomSystem:
+class AxiomSystem(NamedTuple):
     name: str
     equations: tuple = ()
     constants: frozenset = frozenset()
@@ -86,17 +85,23 @@ def system_ops(sys: AxiomSystem) -> frozenset:
     return ops
 
 
+def system_content(sys: AxiomSystem) -> tuple:
+    """What ``sys`` says, equal up to renamed variables and reordered or
+    repeated equations: (frozenset of its equations with their variables
+    normalized, its constants)."""
+    return frozenset(normalize_variables(eq, sys.constants) for eq in sys.equations), sys.constants
+
+
 def system_content_key(sys: AxiomSystem) -> str:
-    """Content fingerprint: equal up to renaming/reordering of equations.
+    """Content fingerprint: a hash of ``system_content``.
 
     Used as a cache key so that renamed-but-equal systems share entries.
     """
     import hashlib  # here, so the commands that never key a cache skip it
 
-    lines = sorted(
-        format_equation(normalize_variables(eq, sys.constants)) for eq in sys.equations
-    )
-    payload = "\n".join(lines + ["constants: " + ",".join(sorted(sys.constants))])
+    equations, constants = system_content(sys)
+    lines = sorted(format_equation(eq) for eq in equations)
+    payload = "\n".join(lines + ["constants: " + ",".join(sorted(constants))])
     return hashlib.sha256(payload.encode()).hexdigest()
 
 

@@ -27,8 +27,9 @@ the first countermodel in enumeration order at the smallest size.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Union
+from collections import namedtuple
+from functools import lru_cache
+from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
 from .axioms import AxiomSystem, system_ops
 from .models import (
@@ -67,20 +68,17 @@ RULES = (
 )
 
 
-@dataclass(frozen=True)
-class DerivationStep:
+class DerivationStep(NamedTuple):
     rule: str
     premises: tuple
     equation: Equation
 
 
-@dataclass(frozen=True)
-class Proved:
+class Proved(NamedTuple):
     derivation: tuple
 
 
-@dataclass(frozen=True)
-class Refuted:
+class Refuted(NamedTuple):
     countermodel: FiniteAlgebra
     witness: tuple  # ((variable, element), ...)
 
@@ -88,40 +86,35 @@ class Refuted:
         return dict(self.witness)
 
 
-@dataclass(frozen=True)
-class HoldsUpTo:
+class HoldsUpTo(NamedTuple):
     max_size: int
 
 
-@dataclass(frozen=True)
-class Unknown:
+class Unknown(NamedTuple):
     bounds: tuple  # ((budget name, value), ...)
 
 
 Verdict = Union[Proved, Refuted, HoldsUpTo, Unknown]
 
 
-@dataclass(frozen=True)
-class CandidateSpace:
-    max_vars: int = 2
-    max_depth: int = 1
+class CandidateSpace(namedtuple("CandidateSpace", "max_vars max_depth")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (1 <= self.max_vars <= 3):
+    def __new__(cls, max_vars: int = 2, max_depth: int = 1):
+        if not (1 <= max_vars <= 3):
             raise ValueError("max_vars must be between 1 and 3")
-        if not (0 <= self.max_depth <= 2):
+        if not (0 <= max_depth <= 2):
             raise ValueError("max_depth must be between 0 and 2")
+        return super().__new__(cls, max_vars, max_depth)
 
 
-@dataclass(frozen=True)
-class DeriveBudgets:
-    max_term_depth: int = 3
-    max_steps: int = 8
-    max_nodes: int = 50_000
+class DeriveBudgets(namedtuple("DeriveBudgets", "max_term_depth max_steps max_nodes")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.max_term_depth < 1 or self.max_steps < 1:
+    def __new__(cls, max_term_depth: int = 3, max_steps: int = 8, max_nodes: int = 50_000):
+        if max_term_depth < 1 or max_steps < 1:
             raise ValueError("budgets must be positive")
+        return super().__new__(cls, max_term_depth, max_steps, max_nodes)
 
 
 #: node budget for a single countermodel search
@@ -174,11 +167,15 @@ def semantic_consequence(sys: AxiomSystem, cand: Equation, max_size: int,
     smallest size, or HoldsUpTo(max_size) when no model of size <= max_size
     violates ``cand``, decided as the consequence sets decide it."""
     _check_size(max_size, allow_large)
-    k = _refuting_size(sys, cand, max_size, {}, max_nodes)
+    pool = {}
+    k = _refuting_size(sys, cand, max_size, pool, max_nodes)
     if k is None:
         return HoldsUpTo(max_size)
     ops, names = _search_ops(sys, cand), tuple(sorted(sys.constants))
-    v = next(_vectors(sys, k, ops, cand, max_nodes))
+    # _refuting_size searched with the candidate's tables first; when that is
+    # the canonical order too, the vector it found is the one wanted here
+    found = pool.get((k, ops))
+    v = found[0] if found else next(_vectors(sys, k, ops, cand, max_nodes))
     witness = compile_check(cand, k, ops, names)(v)
     return Refuted(shape_template(k, ops, names).algebra(v), tuple(sorted(witness.items())))
 
@@ -210,6 +207,7 @@ def terms_within(max_vars: int, max_depth: int) -> tuple:
     return tuple(level)
 
 
+@lru_cache(maxsize=None)  # one list per space, of the 3 x 3 there are
 def candidate_identities(space: CandidateSpace) -> tuple:
     """Candidate equations modulo variable renaming and symmetry of '='."""
     terms = terms_within(space.max_vars, space.max_depth)

@@ -33,7 +33,7 @@ from __future__ import annotations
 import itertools
 import json
 import re
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from functools import cached_property, lru_cache, partial
 from itertools import chain
 from operator import itemgetter, ne, sub
@@ -70,8 +70,7 @@ class ResourceLimitError(RuntimeError):
 DEFAULT_SIZE_LIMIT = 3
 
 
-@dataclass(frozen=True)
-class FiniteAlgebra:
+class FiniteAlgebra(namedtuple("FiniteAlgebra", "size tables constants", defaults=((), ()))):
     """Carrier {0..size-1} with up to three operation tables.
 
     ``tables`` is a tuple of (Op, row-major tuple-of-tuples) pairs in
@@ -79,9 +78,7 @@ class FiniteAlgebra:
     names to elements, sorted by name.  Instances are immutable and hashable.
     """
 
-    size: int
-    tables: tuple = ()
-    constants: tuple = ()
+    # no __slots__: the cached properties keep their values in __dict__
 
     @cached_property
     def ops(self) -> tuple:
@@ -206,11 +203,16 @@ def _layout(n: int, ops, names) -> tuple:
     return base, {name: len(base) * n * n + k for k, name in enumerate(names)}
 
 
+# One process of ``rank`` over six systems asks for 233 distinct checkers,
+# more than any other command or query list does (rank C0-C3: 76, of 244
+# lookups; compare: 157; the query lists: 184-191), at about 0.9 kB each.
+@lru_cache(maxsize=256)
 def compile_check(eq: Equation, n: int, ops: tuple, names: tuple, bound=None):
     """Checker for ``eq`` on the entry vectors of size ``n`` with the tables
     ``ops`` and the constants ``names``: the variables in ``bound`` (all of
     ``names`` by default) read their constants' values, and it returns the
-    first failing assignment of the others, as find_violation does, or None."""
+    first failing assignment of the others, as find_violation does, or None.
+    The 256 checkers last asked for are kept and shared by their callers."""
     base, slot = _layout(n, ops, names)
     if bound is not None:
         slot = {x: slot[x] for x in bound}
@@ -264,18 +266,17 @@ def satisfies_all(alg: FiniteAlgebra, sys: AxiomSystem) -> bool:
 # ---------------------------------------------------------------------------
 # enumeration
 
-@dataclass(frozen=True)
-class EnumOptions:
-    up_to_iso: bool = False
-    max_results: Optional[int] = None
-    #: operations to instantiate; defaults to those mentioned by the system
-    ops: Optional[frozenset] = None
-    #: permit sizes above DEFAULT_SIZE_LIMIT
-    allow_large: bool = False
+class EnumOptions(namedtuple("EnumOptions", "up_to_iso max_results ops allow_large")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.max_results is not None and self.max_results < 1:
+    def __new__(cls, up_to_iso: bool = False, max_results: Optional[int] = None,
+                # operations to instantiate; defaults to those mentioned by the system
+                ops: Optional[frozenset] = None,
+                # permit sizes above DEFAULT_SIZE_LIMIT
+                allow_large: bool = False):
+        if max_results is not None and max_results < 1:
             raise ValueError("max_results must be >= 1")
+        return super().__new__(cls, up_to_iso, max_results, ops, allow_large)
 
 
 def _ordered_ops(sys: AxiomSystem, opts: EnumOptions) -> tuple:
@@ -504,7 +505,7 @@ def enumerate_models(sys: AxiomSystem, n: int, opts: Optional[EnumOptions] = Non
 
 def count_models(sys: AxiomSystem, n: int, up_to_iso: bool = False,
                  opts: Optional[EnumOptions] = None) -> int:
-    opts = replace(opts or EnumOptions(), up_to_iso=up_to_iso)
+    opts = (opts or EnumOptions())._replace(up_to_iso=up_to_iso)
     return sum(1 for _ in enumerate_vectors(sys, n, opts))
 
 
@@ -583,8 +584,7 @@ def _numeral(n: int) -> str:
     return "|".join(alts + [top])
 
 
-@dataclass(frozen=True)
-class ShapeTemplate:
+class ShapeTemplate(namedtuple("ShapeTemplate", "size ops names")):
     """The algebras of size ``size`` with the tables ``ops``, in that order,
     and the constants ``names``, and their record lines.
 
@@ -594,9 +594,7 @@ class ShapeTemplate:
     the patterns are compiled on first use.
     """
 
-    size: int
-    ops: tuple
-    names: tuple
+    # no __slots__: the cached properties keep their values in __dict__
 
     def _record(self, entry: str, literal) -> str:
         """The record line with ``entry`` for each entry and every other

@@ -7,10 +7,9 @@ Both bounds travel with every report; no absolute claim is made.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
-from .axioms import AxiomSystem, system_content_key
+from .axioms import AxiomSystem, system_content
 from .consequence import CandidateSpace, consequence_set
 from .terms import Equation, format_equation
 
@@ -20,8 +19,7 @@ SECOND_STRONGER = "second-stronger"
 INCOMPARABLE = "incomparable"
 
 
-@dataclass(frozen=True)
-class PowerReport:
+class PowerReport(NamedTuple):
     relation: str
     first: str
     second: str
@@ -31,8 +29,7 @@ class PowerReport:
     budgets: tuple  # ((name, value), ...)
 
 
-@dataclass(frozen=True)
-class RankReport:
+class RankReport(NamedTuple):
     systems: tuple           # names, in input order
     classes: tuple           # tuples of names with equal consequence sets
     edges: tuple             # (stronger, weaker) class representatives, Hasse-reduced
@@ -53,7 +50,7 @@ _set_cache: dict = {}
 
 
 def _cset(sys: AxiomSystem, space: CandidateSpace, model_size: int) -> frozenset:
-    key = (system_content_key(sys), space.max_vars, space.max_depth, model_size)
+    key = (system_content(sys), space, model_size)
     hit = _set_cache.get(key)
     if hit is None:
         hit = frozenset(consequence_set(sys, space, model_size))

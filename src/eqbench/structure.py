@@ -8,7 +8,6 @@ lexicographically first failing tuple as a witness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
 from math import isqrt
@@ -94,8 +93,7 @@ class OpReport(NamedTuple):
     abelian_group_reason: Optional[str]
 
 
-@dataclass(frozen=True)
-class StructureReport:
+class StructureReport(NamedTuple):
     size: int
     ops: tuple  # ((Op, OpReport | None), ...) over all three operations
     ops_coincide: Optional[bool]

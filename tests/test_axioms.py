@@ -2,6 +2,7 @@ import pytest
 
 from eqbench.axioms import (
     AxiomFileError,
+    AxiomSystem,
     BUILTIN_NAMES,
     UnknownSystemError,
     builtin_system,
@@ -10,6 +11,7 @@ from eqbench.axioms import (
     make_system,
     merge,
     normalize_equation,
+    system_content,
     system_content_key,
     system_ops,
 )
@@ -162,3 +164,14 @@ def test_content_key_ignores_name_and_order():
     one = make_system("one", [parse_equation("ab = ba"), parse_equation("a:b = b:a")])
     two = make_system("two", [parse_equation("x:y = y:x"), parse_equation("xy = yx")])
     assert system_content_key(one) == system_content_key(two)
+
+
+def test_content_is_what_the_content_key_hashes():
+    one = make_system("one", [parse_equation("ab = ba"), parse_equation("a:b = b:a")])
+    two = AxiomSystem("two", (parse_equation("x:y = y:x"), parse_equation("xy = yx"),
+                              parse_equation("yx = xy")))
+    assert system_content(one) == system_content(two)
+    assert system_content_key(one) == system_content_key(two)
+    with_e = make_system("e", one.equations, {"e"})
+    assert system_content(with_e) != system_content(one)
+    assert system_content_key(with_e) != system_content_key(one)

@@ -754,6 +754,8 @@ def _python(code, *args):
 
 
 def test_commands_load_only_the_modules_they_run(tmp_path):
+    # each command in turn, in one process: what has been loaded after it;
+    # only a cache file name needs hashlib
     algebras = tmp_path / "c0.jsonl"
     algebras.write_text("".join(record_line(alg) + "\n"
                                 for alg in enumerate_models(builtin_system("C0"), 2)))
@@ -763,12 +765,17 @@ def test_commands_load_only_the_modules_they_run(tmp_path):
         "def loaded(argv):\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert eqbench.cli.main(argv) == 0\n"
-        "    return sorted(m for m in ('consequence', 'power', 'structure')\n"
-        "                  if 'eqbench.' + m in sys.modules)\n"
+        "    return sorted(m for m in ('eqbench.consequence', 'eqbench.power',\n"
+        "                              'eqbench.structure', 'hashlib') if m in sys.modules)\n"
         "print(json.dumps([loaded(['enumerate', '--system', 'C0', '--size', '2', '--count']),\n"
-        "                  loaded(['classify', '--algebra', sys.argv[1]])]))\n",
-        str(algebras))
-    assert json.loads(out) == [[], ["structure"]]
+        "                  loaded(['classify', '--algebra', sys.argv[1]]),\n"
+        "                  loaded(['rank', 'C0', 'C1', '--model-size', '2']),\n"
+        "                  loaded(['compare', 'C0', 'C1']),\n"
+        "                  loaded(['enumerate', '--system', 'C0', '--size', '2', '--count',\n"
+        "                          '--cache-dir', sys.argv[2]])]))\n",
+        str(algebras), str(tmp_path / "cache"))
+    engine = ["eqbench.consequence", "eqbench.power", "eqbench.structure"]
+    assert json.loads(out) == [[], ["eqbench.structure"], engine, engine, engine + ["hashlib"]]
 
 
 #: every name the package exports, by the module that defines it

@@ -246,6 +246,11 @@ def test_candidate_identities_are_canonical_and_deduplicated():
     assert parse_equation("a = a") in cands
 
 
+def test_candidate_identities_are_built_once_per_space():
+    assert candidate_identities(CandidateSpace()) is candidate_identities(CandidateSpace(2, 1))
+    assert candidate_identities(CandidateSpace(1, 1)) != candidate_identities(CandidateSpace())
+
+
 def test_consequence_set_c0_contains_the_chain():
     cs = consequence_set(builtin_system("C0"), CandidateSpace(2, 1), 3)
     for text in ("ab = a:b", "a:b = b/a", "ab = b/a"):
@@ -299,6 +304,28 @@ def test_pool_compiles_each_candidate_once_per_layout(monkeypatch):
         compiled.clear()
         consequence_set(builtin_system(name), CandidateSpace(2, 1), 3)
         assert compiled and Counter(compiled).most_common(1)[0][1] == 1, name
+
+
+@pytest.mark.parametrize("text,searches", [
+    ("ab = a", [(1, "prod,ldiv,rdiv"), (2, "prod,ldiv,rdiv")]),
+    # the candidate's table is read first, then the countermodel is found again
+    # in canonical order
+    ("a:b = a", [(1, "ldiv,prod,rdiv"), (2, "ldiv,prod,rdiv"), (2, "prod,ldiv,rdiv")]),
+])
+def test_refute_searches_again_only_in_another_table_order(monkeypatch, text, searches):
+    sys_, cand = builtin_system("C1"), parse_equation(text)
+    calls = []
+
+    def counting(system, n, ops, *args):
+        calls.append((n, ",".join(op.value for op in ops)))
+        return vectors(system, n, ops, *args)
+
+    vectors = consequence._vectors
+    monkeypatch.setattr(consequence, "_vectors", counting)
+    verdict = semantic_consequence(sys_, cand, 3)
+    assert calls == searches
+    monkeypatch.undo()
+    assert verdict == search_verdict(sys_, cand, 3)
 
 
 def test_pool_reads_each_vector_in_its_own_table_order(monkeypatch):

@@ -2,7 +2,8 @@ import itertools
 
 from eqbench import power
 from eqbench.axioms import builtin_system, make_system, merge
-from eqbench.consequence import CandidateSpace, HoldsUpTo, Refuted, semantic_consequence
+from eqbench.consequence import (CandidateSpace, HoldsUpTo, Refuted, consequence_set,
+                                 semantic_consequence)
 from eqbench.power import (
     EQUIVALENT,
     FIRST_STRONGER,
@@ -124,6 +125,23 @@ def test_rank_deterministic():
     power._set_cache.clear()
     second = rank_record(rank_all(systems, SPACE, 3))
     assert first == second
+
+
+def test_rank_shares_one_set_between_renamed_and_reordered_systems(monkeypatch):
+    c1 = builtin_system("C1")
+    # C1's equations in reverse order, over other letters
+    copy = make_system("C1_renamed", [parse_equation("p:q = p/q"), parse_equation("qp = pq")])
+    calls = []
+
+    def counting(sys_, space, model_size):
+        calls.append(sys_.name)
+        return consequence_set(sys_, space, model_size)
+
+    monkeypatch.setattr(power, "_set_cache", {})
+    monkeypatch.setattr(power, "consequence_set", counting)
+    report = rank_all([c1, copy], SPACE, 2)
+    assert calls == ["C1"]
+    assert report.classes == (("C1", "C1_renamed"),) and report.edges == ()
 
 
 def test_strict_ordering_is_antisymmetric_nonvacuously():
