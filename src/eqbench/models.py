@@ -13,15 +13,15 @@ order, row-major, then constants), so the emitted stream is in lexicographic
 order of the serialized (tables, constants) bundle.  The search core yields
 entry vectors (cells, then constants); an algebra is built from a vector only
 for a caller that asks for one, so enumeration to records, counting and the
-canonical test work on the vectors alone.  A ground instance of an
-axiom whose sides have depth <= 1 and name no constant is static: it says
-that its later cell must equal ``source[i]``, an earlier cell of the vector
-or a fixed value of the carrier, and is stored as that one (source, i) pair.
-A cell's first pair forces it, a run of forced cells is filled in one step,
-and its other pairs prune as soon as it is written.  A failed instance that
-names one constant rules out one value of it.  Axioms with a deeper side or
-a constant are checked on complete branches too.  The same search, given a
-candidate identity, emits only the models that violate it.
+canonical test work on the vectors alone.  The fixed fill order fixes the
+last slot each check reads, and the search tests the check once, when that
+slot is written.  A ground instance of an axiom whose sides have depth <= 1
+is one (source, i) pair: its later cell must equal ``source[i]``, an earlier
+cell or a fixed value.  A cell's first pair that names no constant forces
+it, a run of forced cells is filled in one step, and a failed pair that
+names a constant rules out one value of it.  Axioms with a deeper side or a
+constant are compiled and tested whole.  The same search, given a candidate
+identity, emits only the models that violate it.
 
 The record line format is defined once, by the shape template of an
 algebra's size, tables and constant names: one ``%`` format writes the
@@ -99,23 +99,14 @@ class FiniteAlgebra(namedtuple("FiniteAlgebra", "size tables constants", default
 def make_algebra(size: int, tables: Mapping, constants: Mapping = ()) -> FiniteAlgebra:
     if size < 1:
         raise ValueError("carrier must be nonempty")
-    ops = [op for op in OP_ORDER if op in tables]
-    given = [tables[op] for op in ops]
-    rows = list(chain.from_iterable(given)) if set(map(type, given)) <= {list, tuple} else ()
-    if (set(map(type, rows)) <= {list, tuple}
-            and set(map(type, chain.from_iterable(rows))) == {int}
-            and set(map(len, chain(given, rows))) == {size}
-            and set(chain.from_iterable(rows)) <= set(range(size))):
-        packed = [(op, tuple(map(tuple, table))) for op, table in zip(ops, given)]
-    else:  # convert by int() and report the first bad table
-        packed = []
-        for op, table in zip(ops, given):
-            rows = tuple(tuple(int(x) for x in row) for row in table)
-            if len(rows) != size or any(len(r) != size for r in rows):
-                raise ValueError(f"{op.value} table must be {size}x{size}")
-            if any(not 0 <= x < size for r in rows for x in r):
-                raise ValueError(f"{op.value} table entry out of range")
-            packed.append((op, rows))
+    packed = []
+    for op in (op for op in OP_ORDER if op in tables):  # report the first bad table
+        rows = tuple(tuple(int(x) for x in row) for row in tables[op])
+        if len(rows) != size or any(len(r) != size for r in rows):
+            raise ValueError(f"{op.value} table must be {size}x{size}")
+        if any(not 0 <= x < size for r in rows for x in r):
+            raise ValueError(f"{op.value} table entry out of range")
+        packed.append((op, rows))
     consts = tuple(sorted((str(k), int(v)) for k, v in dict(constants).items()))
     if any(not 0 <= v < size for _, v in consts):
         raise ValueError("constant value out of range")
@@ -288,29 +279,25 @@ def _vectors(sys: AxiomSystem, n: int, ops: tuple, cand: Optional[Equation] = No
              max_nodes: Optional[int] = None) -> Iterator[tuple]:
     """Depth-first stream of the entry vectors (cells, table after table and
     each row-major, then the constants' values) of the models of ``sys`` of
-    size ``n`` over the tables ``ops``, in fill order.
+    size ``n`` over the tables ``ops``, in fill order; with ``cand``, of
+    those on which it fails.
 
-    Every static ground instance is stored under the later of its slots as
-    one pair (source, i): the slot must equal ``source[i]``, where
-    ``source`` is the cell vector and ``i`` an earlier cell, or ``source``
-    is the carrier and ``i`` a fixed value.  Slots fill strictly in order,
-    so ``source[i]`` is known when the slot is written.  A slot's first pair
-    forces it, its other pairs are checked on the value just written, and a
-    run of consecutive forced slots is written, and cleared, in one step.
+    Slots fill strictly in order, so each check is tested once, when the
+    last slot it reads is written.  A ground instance of a depth <= 1 axiom
+    is a pair (source, i) under its later slot, which must equal
+    ``source[i]``, an earlier cell or a value of the carrier.  A slot's first
+    pair that names no constant forces it, and a run of forced slots is
+    written, and cleared, in one step.  A slot's test runs its other pairs,
+    then the candidate's compiled check (which must fail), then those of the
+    axioms with a deeper side or a constant (which must hold).  A failed
+    pair masks the constants' live values with its ``keep``, which rules out
+    the value it names, or every value when it names no constant; a
+    constant's own slot rules out its other values.  A pair on a forced slot
+    whose sides reach the same cell or value through ``forced`` is dropped.
 
-    An instance of a depth <= 1 axiom that names one constant is such a pair
-    for one value of the constant.  A slot with such pairs, or a constant's
-    own slot, rules out the values whose pairs fail, and keeps the mask of
-    live values it leaves, so they come back when it is rewritten or left.
-    A branch dies when a constant has no value left.  Axioms that name a
-    constant or have a deeper side are still checked on complete branches.
-
-    With ``cand``, only models on which it fails: the candidate is checked
-    at the last slot it can read, and the branch is cut there when it holds.
-    With ``cand`` and ``max_nodes``, raise ResourceLimitError once more nodes
-    than that have been visited; nodes are counted as slots are left, n per
-    slot but slot 0, forced or not, so the cap is noticed at most
-    ``n * total`` nodes late.
+    With ``max_nodes``, raise ResourceLimitError once more nodes than that
+    have been visited; nodes are counted as slots are left, n per slot but
+    slot 0, so the cap is noticed at most ``n * total`` nodes late.
     """
     n2 = n * n
     names = tuple(sorted(sys.constants))
@@ -318,9 +305,10 @@ def _vectors(sys: AxiomSystem, n: int, ops: tuple, cand: Optional[Equation] = No
     total = len(ops) * n2 + len(names)
     cells = [-1] * total
     carrier = range(n)
-    forced = [None] * total  # each slot's first pair
-    pairs = [[] for _ in range(total)]  # and its others
-    leaf = []  # compiled checkers of the axioms checked on complete branches
+    forced = [None] * total  # each slot's first pair that names no constant
+    pairs = {}  # each slot's other pairs, as (source, i, keep, bits)
+    later = []  # (slot, pair) of each other pair, until forced is complete
+    checks = {}  # (compiled check, whether it must hold) under the last slot it reads
     unsat = False
 
     def side(t, env):  # (its cell, or -1 for a variable; its pair)
@@ -329,15 +317,20 @@ def _vectors(sys: AxiomSystem, n: int, ops: tuple, cand: Optional[Equation] = No
         cell = base[t.op] + env[t.left.name] * n + env[t.right.name]
         return cell, (cells, cell)
 
+    def last_read(used, named):  # the last slot of the tables ``used`` and constants ``named``
+        if named:  # the constants come after the tables
+            return max(map(slot_of.get, named))
+        return max(map(base.get, used), default=-n2) + n2 - 1  # -1 when it reads none
+
     def cond(pair, x, v):  # (*pair, mask ruling out value v of x, x's n bits)
         return (*pair, ~(1 << names.index(x) * n + v), (1 << n) - 1 << names.index(x) * n)
 
-    conds = {}  # the conditional pairs of each slot that has some
     for x, s in slot_of.items():  # a constant's own slot rules out its other values
-        conds[s] = [cond((carrier, v), x, v) for v in carrier]
+        pairs[s] = [cond((carrier, v), x, v) for v in carrier]
 
     for eq in sys.equations:
-        missing = operations_of_equation(eq) - set(ops)
+        used = operations_of_equation(eq)
+        missing = used - set(ops)
         if missing:
             listed = ", ".join(op.value for op in sorted(missing, key=OP_ORDER.index))
             raise MissingTableError(f"missing table {listed}")
@@ -345,7 +338,8 @@ def _vectors(sys: AxiomSystem, n: int, ops: tuple, cand: Optional[Equation] = No
         named = slot_of.keys() & free
         deep = term_depth(eq.lhs) > 1 or term_depth(eq.rhs) > 1
         if named or deep:
-            leaf.append(_compile(eq, n, base, slot_of))
+            checks.setdefault(last_read(used, named), []).append(
+                (_compile(eq, n, base, slot_of), True))
         if deep or len(named) > 1:
             continue
         for values in itertools.product(carrier, repeat=len(free)):
@@ -355,48 +349,44 @@ def _vectors(sys: AxiomSystem, n: int, ops: tuple, cand: Optional[Equation] = No
             if low == high:  # two variables, or one cell
                 unsat = unsat or pair != other and not named
             elif named:  # binding while the constant it names has its value in env
-                conds.setdefault(high, []).extend(cond(pair, x, env[x]) for x in named)
+                later.extend((high, cond(pair, x, env[x])) for x in named)
             elif forced[high] is None:
                 forced[high] = pair
             else:
-                pairs[high].append(pair)
+                later.append((high, (*pair, 0, 0)))
     if unsat:
         return
-    cut = -1  # the slot whose every value the candidate is checked on
-    if cand is not None:
-        holds = _compile(cand, n, base, slot_of)
-        cut = max([base[op] + n2 for op in operations_of_equation(cand)]
-                  + [slot_of[x] + 1 for x in variables_of_equation(cand) if x in slot_of],
-                  default=0) - 1
-        if cut < 0 and holds(cells) is None:
+    if cand is not None:  # tested before the axioms' checks under its slot
+        cut = last_read(operations_of_equation(cand), slot_of.keys() & variables_of_equation(cand))
+        checks.setdefault(cut, []).insert(0, (_compile(cand, n, base, slot_of), False))
+    for check, holds in checks.pop(-1, ()):  # a check that reads no slot
+        if (check(cells) is None) is not holds:
             return
 
-    live = [-1] * (total + 1)  # the mask each checked slot leaves; at total, all live
+    def root(source, i):  # the free cell or the value (source, i) reaches
+        while source is cells and forced[i] is not None:
+            source, i = forced[i]
+        return source, i
 
-    def admit(s, below, v):  # False when the branch dies at slot s, just written
-        mask = live[below]
-        for source, i, keep, bits in conds[s]:
-            if source[i] != v:
-                mask &= keep
-                if not mask & bits:
-                    return False
-        live[s] = mask
-        return True
-
-    checks, below = [None] * total, total  # each slot's check knows the last one before
-    for s in sorted(conds):
-        checks[s], below = partial(admit, s, below), s
+    for s, p in later:  # drop those on a forced slot that reach what the slot reaches
+        if forced[s] is None or root(p[0], p[1]) != root(cells, s):
+            pairs.setdefault(s, []).append(p)
+    tests = [None] * total  # (the slot tested before, pairs, checks)
+    below = total
+    for s in sorted({*pairs, *checks}):
+        tests[s], below = (below, pairs.get(s, ()), checks.get(s, ())), s
+    live = [-1] * (total + 1)  # the mask each tested slot leaves; at total, all live
     runs = [None] * total  # (start, stop, blank) of a run, at its first and last slot
     start = 0
-    for s in range(total + 1):
-        if s == total or forced[s] is None:
-            if start < s:
-                runs[start] = runs[s - 1] = (start, s, [-1] * (s - start))
+    for s in range(total):  # a run ends at a tested slot and before a free one
+        if forced[s] is None:
+            start = s + 1
+        elif s == total - 1 or forced[s + 1] is None or tests[s] is not None:
+            runs[start] = runs[s] = (start, s + 1, [-1] * (s + 1 - start))
             start = s + 1
 
     if total == 0:
-        if all(check(cells) is None for check in leaf):
-            yield ()
+        yield ()
         return
     limit = float("inf") if max_nodes is None else max_nodes
     last = total - 1
@@ -405,54 +395,54 @@ def _vectors(sys: AxiomSystem, n: int, ops: tuple, cand: Optional[Equation] = No
         run = runs[slot]
         if run is None:  # a free slot: its next value, or back out
             v = cells[slot] + 1
-            if v < n:
-                cells[slot] = v
-                for source, i in pairs[slot]:
-                    if source[i] != v:
+            if v == n:
+                cells[slot] = -1
+                if not slot:
+                    return
+                slot -= 1
+                nodes += n
+                if nodes > limit:
+                    break
+                continue
+            cells[slot] = v
+        else:  # a run: written going forward, cleared going back
+            start, stop, blank = run
+            if cells[start] >= 0:
+                cells[start:stop] = blank
+                nodes += n * (stop - max(start, 1))  # slot 0 counts none
+                if nodes > limit:
+                    break
+                if not start:
+                    return
+                slot = start - 1
+                continue
+            for slot in range(start, stop):
+                source, i = forced[slot]
+                v = cells[slot] = source[i]
+        test = tests[slot]
+        if test is not None:  # a failed test leaves ``test`` set
+            below, tied, checked = test
+            mask = live[below]
+            for source, i, keep, bits in tied:
+                if source[i] != v:
+                    mask &= keep
+                    if not mask & bits:
+                        break
+            else:
+                live[slot] = mask
+                for check, holds in checked:
+                    if (check(cells) is None) is not holds:
                         break
                 else:
-                    if (checks[slot] is None or checks[slot](v)) and (
-                            slot != cut or holds(cells) is not None):
-                        if slot < last:
-                            slot += 1
-                        elif all(check(cells) is None for check in leaf):
-                            yield tuple(cells)
+                    test = None
+            if test is not None:
                 continue
-            cells[slot] = -1
-            if not slot:
-                return
-            slot -= 1
-            nodes += n
-        else:  # a run: entered going forward, left going back
-            start, stop, blank = run
-            s = stop - 1
-            if cells[start] < 0:  # write its slots in order, up to one that fails
-                for s in range(start, stop):
-                    source, i = forced[s]
-                    v = cells[s] = source[i]
-                    for source, i in pairs[s]:
-                        if source[i] != v:
-                            break
-                    else:
-                        if (checks[s] is None or checks[s](v)) and (
-                                s != cut or holds(cells) is not None):
-                            continue
-                    break
-                else:
-                    if stop <= last:
-                        slot = stop
-                        continue
-                    if all(check(cells) is None for check in leaf):
-                        yield tuple(cells)
-            cells[start:stop] = blank  # leave the slots written, start to s
-            nodes += n * (s + 1 - max(start, 1))  # slot 0 counts none
-            if not start and nodes <= limit:
-                return
-            slot = start - 1
-        if nodes > limit:
-            raise ResourceLimitError(
-                f"countermodel search for {format_equation(cand)!r} "
-                f"exceeded {max_nodes} nodes at size {n}")
+        if slot < last:
+            slot += 1
+        else:
+            yield tuple(cells)
+    raise ResourceLimitError(f"countermodel search for {format_equation(cand)!r} "
+                             f"exceeded {max_nodes} nodes at size {n}")
 
 
 def enumerate_vectors(sys: AxiomSystem, n: int, opts: Optional[EnumOptions] = None

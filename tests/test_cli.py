@@ -362,6 +362,18 @@ def test_out_of_range_numeric_option_is_config_error(capsys, argv):
     assert argv[-2] in err and "Traceback" not in err
 
 
+def test_rank_refuses_a_candidate_space_too_large_to_build(capsys):
+    from eqbench.consequence import MAX_CANDIDATE_PAIRS, terms_within
+
+    # the (2, 2) space is still built; the (3, 2) space is refused before
+    # its 7.3 million pairs are
+    assert len(terms_within(2, 2)) ** 2 <= MAX_CANDIDATE_PAIRS < len(terms_within(3, 2)) ** 2
+    start = time.perf_counter()
+    code, out, err = run(capsys, "rank", "C0", "--max-vars", "3", "--max-depth", "2")
+    assert (code, out) == (cli.EXIT_RESOURCE, "")
+    assert "7,306,209" in err and time.perf_counter() - start < 5
+
+
 def test_rank_parallel_byte_identical(capsys):
     code, one, _ = run(capsys, "rank", "C0", "C1", "C2", "C3",
                        "--format", "records", "--parallel", "1")

@@ -1,21 +1,26 @@
 """Seeded fuzzing of the search core against the brute-force oracles.
 
-Every built-in axiom has depth <= 1, so on its own the suite reaches the
-leaf-check path only through the constant-bearing neutral readings.  Here
-random small systems with depth-2 terms, a constant and random operation
-sets drive enumeration and the countermodel search through both the early
-(static) checks and the leaf checks.  Random constant-free depth-1 systems,
-whose every instance is static, drive it through forced cells, and random
-depth-1 systems over one or two constants through the constants' live
-values.  Every size-2 bundle and a seeded size-3 sample check the canonical
-form and the canonical test against a brute-force relabeling.  On all these
-systems the records ``enumerate`` writes from the search's entry vectors
-are checked against the algebras ``enumerate_models`` yields.  The random
-candidates, with instances of the systems' axioms that ``derive`` proves,
-check the proof-first order of ``semantic_consequence`` against the search
-alone.  Random record files of several shapes check that ``check`` and
-``classify``, which read each record as an entry vector, answer as
-``find_violation`` and the oracle's scans do.
+The search tests each check when the last slot it reads is written: a
+ground instance of a depth <= 1 axiom as a pair on its later cell, and an
+axiom with a deeper side or a constant as a compiled check of the whole
+axiom.  Every built-in axiom has depth <= 1, so on its own the suite
+compiles axioms only for the constant-bearing neutral readings, whose
+constant is the last slot.  Here random small systems with depth-2 terms, a
+constant and random operation sets drive enumeration and the countermodel
+search through both kinds of check, and a free table after an axiom's own
+tables makes its compiled check run before the branch is complete.  Random
+constant-free depth-1 systems, whose every instance is static, drive it
+through forced cells, and random depth-1 systems over one or two constants
+through the constants' live values.  Every size-2 bundle and a seeded
+size-3 sample check the canonical form and the canonical test against a
+brute-force relabeling.  On all these systems the records ``enumerate``
+writes from the search's entry vectors are checked against the algebras
+``enumerate_models`` yields.  The random candidates, with instances of the
+systems' axioms that ``derive`` proves, check the proof-first order of
+``semantic_consequence`` against the search alone.  Random record files of
+several shapes check that ``check`` and ``classify``, which read each
+record as an entry vector, answer as ``find_violation`` and the oracle's
+scans do.
 """
 
 import itertools
@@ -92,8 +97,10 @@ def _random_cases():
         constants = ("e",) if rng.random() < 0.5 else ()
         axioms = [_random_equation(rng, ops, constants) for _ in range(rng.choice((1, 2)))]
         sys_ = make_system(f"fuzz{i}", axioms, constants)
-        # sometimes instantiate a table the axioms leave free
-        table_ops = set(ops) | ({rng.choice(OP_ORDER)} if rng.random() < 0.3 else set())
+        # often instantiate a table the axioms leave free, after theirs where
+        # there is one, so that a check of theirs runs before the last slot
+        later = OP_ORDER[max(map(OP_ORDER.index, ops)) + 1:] or OP_ORDER
+        table_ops = set(ops) | ({rng.choice(later)} if rng.random() < 0.5 else set())
         cand_ops = rng.sample(OP_ORDER, rng.choice((1, 2)))
         cands = [_random_equation(rng, cand_ops, constants)
                  for _ in range(CANDIDATES_PER_SYSTEM)]
@@ -115,17 +122,27 @@ def _oracle_counterexample(sys_, cand, n):
     return None
 
 
-def _checked_at_leaves(sys_):
-    return any(
-        term_depth(eq.lhs) > 1 or term_depth(eq.rhs) > 1
-        or sys_.constants & set(variables_of_equation(eq))
-        for eq in sys_.equations)
+def _compiled_axioms(sys_):
+    """The axioms the search checks whole: a side deeper than 1, or a constant."""
+    return [eq for eq in sys_.equations
+            if term_depth(eq.lhs) > 1 or term_depth(eq.rhs) > 1
+            or sys_.constants & set(variables_of_equation(eq))]
+
+
+def _checked_before_the_last_slot(sys_, table_ops):
+    """True when a compiled axiom names no constant and a table of
+    ``table_ops`` comes after its own, so its check runs on partial branches."""
+    last = max(map(OP_ORDER.index, table_ops))
+    return any(not sys_.constants & set(variables_of_equation(eq))
+               and max(map(OP_ORDER.index, operations_of_equation(eq))) < last
+               for eq in _compiled_axioms(sys_))
 
 
 def test_random_systems_match_oracles():
-    leaf_checked = 0
+    compiled = early = 0
     for sys_, table_ops, cands in _random_cases():
-        leaf_checked += _checked_at_leaves(sys_)
+        compiled += bool(_compiled_axioms(sys_))
+        early += _checked_before_the_last_slot(sys_, table_ops)
         for n in (1, 2):
             got = [record_line(m) for m in
                    enumerate_models(sys_, n, EnumOptions(ops=table_ops))]
@@ -139,7 +156,7 @@ def test_random_systems_match_oracles():
                 assert verdict == HoldsUpTo(2), f"{sys_} with {cand}"
             else:
                 assert verdict == Refuted(*found), f"{sys_} with {cand}"
-    assert leaf_checked >= SYSTEMS // 2
+    assert compiled >= SYSTEMS // 2 and early >= SYSTEMS // 6
 
 
 def _axiom_instance(rng, sys_):

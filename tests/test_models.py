@@ -33,6 +33,7 @@ from eqbench.terms import OP_ORDER, Op, parse_equation, parse_term
 from oracles import (
     are_isomorphic,
     o_eval,
+    o_satisfies,
     literal_models,
     oracle_canonical,
     oracle_models,
@@ -285,6 +286,23 @@ def test_node_cap_fires_at_a_fixed_count(name, cand, ops, threshold):
     with pytest.raises(ResourceLimitError):
         capped(threshold - 1)
     assert capped(threshold) == []
+
+
+def test_node_cap_of_a_deep_axiom_tested_before_the_last_slot():
+    # associativity reads only prod, so its compiled check runs when prod's
+    # last cell is written and prunes before any rdiv cell is: 268 nodes,
+    # where a check on complete branches visits 508 for the same 64 models
+    assoc = make_system("assoc", [parse_equation("(ab)c = a(bc)")])
+    cand, ops = parse_equation("a/b = b/a"), (Op.PROD, Op.RDIV)
+
+    def capped(max_nodes):
+        return list(search(assoc, 2, ops, cand, max_nodes))
+
+    with pytest.raises(ResourceLimitError):
+        capped(267)
+    want = [m for m in oracle_models(assoc, 2, ops)
+            if not o_satisfies(dict(m.tables), cand, 2, dict(m.constants))]
+    assert capped(268) == want and len(want) == 64
 
 
 def test_size_limit_needs_override():
