@@ -15,6 +15,7 @@ Each command imports the modules only it runs (``consequence``, ``power``,
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import sys as _sys
@@ -104,42 +105,64 @@ def _parse_ops(arg: str) -> frozenset:
     return frozenset(out)
 
 
-#: the most entries (cells and constants) of a shape whose line patterns
-#: the readers compile: compiling costs from 40 to 400 json reads of a line
-#: of its shape, about 0.03 s at this many entries, and grows faster than
-#: the entries beyond
+#: the most entries (cells and constants) of a shape whose record pattern
+#: is compiled: compiling costs from 40 to 400 json reads of a line of its
+#: shape, about 0.03 s at this many entries, and grows faster than the
+#: entries beyond
 _PATTERN_ENTRIES = 512
+
+#: bytes read from a record stream at a time
+_BLOCK = 1 << 15
 
 
 def _patterned(template: ShapeTemplate):
-    """``template`` if its patterns are cheap enough to compile, else None."""
+    """``template`` if its pattern is cheap enough to compile, else None."""
     entries = len(template.ops) * template.size ** 2 + len(template.names)
     return template if entries <= _PATTERN_ENTRIES else None
 
 
-def _records(lines, source: str):
-    """Yield (template, entry vector) of each record line of ``lines``, read by the
-    pattern of the shape ``json`` last read, else by ``json``, and return the last
-    template (None if none); a line not a record or not UTF-8 fails, naming its number."""
-    template = pattern = None
-    for lineno, line in enumerate(lines, start=1):
-        try:
-            line = (line.decode() if isinstance(line, bytes) else line).strip()
-        except UnicodeDecodeError as exc:
-            raise CliError(f"{source}:{lineno}: not UTF-8 text: {exc}") from None
-        m = line and pattern and pattern.fullmatch(line)
-        if m:
-            yield template, tuple(map(value, m.groups()))
-        elif line:
+def _records(stream, source: str):
+    """Yield (template, entry vector) of each record line of ``stream``, read
+    a block at a time: a run of lines of the shape ``json`` last read is read
+    by that shape's template, every other line by ``json``.  Return the last
+    template (None if none); a line not a record or not UTF-8 fails, naming
+    its number."""
+    template = run = None
+    lineno, rest = 0, b""
+    while True:
+        block = stream.read(max(_BLOCK, len(rest)))  # a long line is read in doubling blocks
+        if isinstance(block, str):  # a text stream with no bytes beneath
+            block = block.encode("utf-8", "surrogatepass")
+        data = rest + block
+        end = data.rfind(b"\n") + 1 if block else len(data)
+        pos = 0
+        while pos < end:
+            if run:
+                stop, vectors = run.read(data, pos, end)
+                if vectors:
+                    lineno += len(vectors)
+                    for v in vectors:
+                        yield template, v
+                    pos = stop
+                    continue
+            stop = data.find(b"\n", pos, end) + 1 or end
+            lineno += 1
             try:
-                alg = from_record(json.loads(line))
-            except (json.JSONDecodeError, ValueError, RecursionError) as exc:
-                raise CliError(f"{source}:{lineno}: bad algebra record: {exc}")
-            template = template_of(alg)
-            pattern = _patterned(template) and template.line
-            value = {str(x): x for x in range(template.size)}.__getitem__  # faster than int
-            yield template, alg.cells + tuple(v for _, v in alg.constants)
-    return template
+                line = data[pos:stop].decode().strip()
+            except UnicodeDecodeError as exc:
+                raise CliError(f"{source}:{lineno}: not UTF-8 text: {exc}") from None
+            pos = stop
+            if line:
+                try:
+                    alg = from_record(json.loads(line))
+                except (json.JSONDecodeError, ValueError, RecursionError) as exc:
+                    raise CliError(f"{source}:{lineno}: bad algebra record: {exc}")
+                template = template_of(alg)
+                run = template.digits and _patterned(template)
+                yield template, alg.cells + tuple(v for _, v in alg.constants)
+        if not block:
+            return template
+        rest = data[end:]
 
 
 def _read_records(source: str):
@@ -182,29 +205,29 @@ def _end_marker(count: int) -> str:
 
 def _read_cache(path: Path, template: ShapeTemplate):
     """The record lines cached at ``path``, each ending in a newline, or
-    None (a miss) when the file is absent or not UTF-8, does not end with
-    the marker line that counts its records, or holds a line that is not a
-    record line of ``template``."""
+    None (a miss) when the file is absent, does not end with the marker line
+    that counts its records, or holds a line that is not a record line of
+    ``template`` (such a line is ASCII, so the lines are UTF-8)."""
     try:
-        text = path.read_text(encoding="utf-8")
-    except (FileNotFoundError, UnicodeDecodeError):
+        data = path.read_bytes()
+    except FileNotFoundError:
         return None
-    end = text.rfind("\n", 0, -1) + 1  # where the marker line starts
-    body = text[:end]
-    if (text[end:] != _end_marker(body.count("\n")) + "\n"
+    end = data.rfind(b"\n", 0, -1) + 1  # where the marker line starts
+    body = data[:end]
+    if (data[end:] != (_end_marker(body.count(b"\n")) + "\n").encode()
             or not (template.lines.fullmatch(body) if _patterned(template) else
-                    all(_is_record_line(template, s) for s in body.split("\n")[:-1]))):
+                    all(_is_record_line(template, s) for s in body.split(b"\n")[:-1]))):
         return None
-    return body
+    return body.decode()
 
 
-def _is_record_line(template: ShapeTemplate, line: str) -> bool:
+def _is_record_line(template: ShapeTemplate, line: bytes) -> bool:
     """Whether ``line`` is the record line of an algebra of ``template``'s shape."""
     try:
         alg = from_record(json.loads(line))
-    except (ValueError, RecursionError):
+    except (ValueError, RecursionError):  # UnicodeDecodeError is a ValueError
         return False
-    return template_of(alg) == template and record_line(alg) == line
+    return template_of(alg) == template and record_line(alg).encode() == line
 
 
 def _write_cache(path: Path, body: str):
@@ -272,7 +295,7 @@ def cmd_enumerate(args) -> int:
         elif args.format == "records":
             _sys.stdout.write(body)
         else:
-            _write_lines(_algebra_text(t.algebra(v)) for t, v in _records(body.splitlines(), path))
+            _write_lines(_algebra_text(t.algebra(v)) for t, v in _records(io.StringIO(body), path))
         return EXIT_OK
 
     vectors = enumerate_vectors(sys_, args.size, opts)

@@ -19,13 +19,15 @@ slot is written.  A ground instance of an axiom whose sides have depth <= 1
 is one (source, i) pair: its later cell must equal ``source[i]``, an earlier
 cell or a fixed value.  A cell's first pair that names no constant forces
 it, a run of forced cells is filled in one step, and a failed pair that
-names a constant rules out one value of it.  Axioms with a deeper side or a
-constant are compiled and tested whole.  The same search, given a candidate
-identity, emits only the models that violate it.
+names a constant rules out one value of it.  Axioms with a deeper side or
+two constants are compiled and tested whole.  The same search, given a
+candidate identity, emits only the models that violate it.
 
 The record line format is defined once, by the shape template of an
 algebra's size, tables and constant names: one ``%`` format writes the
-lines, and one pattern, built from the same pieces, checks and reads them.
+lines, and one bytes pattern, built from the same pieces, checks runs of
+them.  Below size 11 a run is read by keeping its digits, which are each
+line's size and entries.
 """
 
 from __future__ import annotations
@@ -284,12 +286,14 @@ def _vectors(sys: AxiomSystem, n: int, ops: tuple, cand: Optional[Equation] = No
 
     Slots fill strictly in order, so each check is tested once, when the
     last slot it reads is written.  A ground instance of a depth <= 1 axiom
-    is a pair (source, i) under its later slot, which must equal
-    ``source[i]``, an earlier cell or a value of the carrier.  A slot's first
-    pair that names no constant forces it, and a run of forced slots is
-    written, and cleared, in one step.  A slot's test runs its other pairs,
+    that names at most one constant is a pair (source, i) under its later
+    slot, which must equal ``source[i]``, an earlier cell or a value of the
+    carrier; one whose sides are two different variables rules out its
+    constant's value from the start.  A slot's first pair that names no
+    constant forces it, and a run of forced slots is written, and cleared,
+    in one step.  A slot's test runs its other pairs,
     then the candidate's compiled check (which must fail), then those of the
-    axioms with a deeper side or a constant (which must hold).  A failed
+    axioms with a deeper side or two constants (which must hold).  A failed
     pair masks the constants' live values with its ``keep``, which rules out
     the value it names, or every value when it names no constant; a
     constant's own slot rules out its other values.  A pair on a forced slot
@@ -310,6 +314,7 @@ def _vectors(sys: AxiomSystem, n: int, ops: tuple, cand: Optional[Equation] = No
     later = []  # (slot, pair) of each other pair, until forced is complete
     checks = {}  # (compiled check, whether it must hold) under the last slot it reads
     unsat = False
+    at_start = -1  # the constants' live values before any slot is written
 
     def side(t, env):  # (its cell, or -1 for a variable; its pair)
         if isinstance(t, Var):
@@ -337,17 +342,19 @@ def _vectors(sys: AxiomSystem, n: int, ops: tuple, cand: Optional[Equation] = No
         free = variables_of_equation(eq)
         named = slot_of.keys() & free
         deep = term_depth(eq.lhs) > 1 or term_depth(eq.rhs) > 1
-        if named or deep:
+        if deep or len(named) > 1:
             checks.setdefault(last_read(used, named), []).append(
                 (_compile(eq, n, base, slot_of), True))
-        if deep or len(named) > 1:
             continue
         for values in itertools.product(carrier, repeat=len(free)):
             env = dict(zip(free, values))
             a, b = side(eq.lhs, env), side(eq.rhs, env)
             (low, pair), (high, other) = (a, b) if a[0] <= b[0] else (b, a)
             if low == high:  # two variables, or one cell
-                unsat = unsat or pair != other and not named
+                if pair != other:  # no model, or none where the constant has its value in env
+                    unsat = unsat or not named
+                    for x in named:
+                        at_start &= cond(pair, x, env[x])[2]
             elif named:  # binding while the constant it names has its value in env
                 later.extend((high, cond(pair, x, env[x])) for x in named)
             elif forced[high] is None:
@@ -375,7 +382,7 @@ def _vectors(sys: AxiomSystem, n: int, ops: tuple, cand: Optional[Equation] = No
     below = total
     for s in sorted({*pairs, *checks}):
         tests[s], below = (below, pairs.get(s, ()), checks.get(s, ())), s
-    live = [-1] * (total + 1)  # the mask each tested slot leaves; at total, all live
+    live = [-1] * total + [at_start]  # the mask each tested slot leaves; at total, at_start
     runs = [None] * total  # (start, stop, blank) of a run, at its first and last slot
     start = 0
     for s in range(total):  # a run ends at a tested slot and before a free one
@@ -574,6 +581,11 @@ def _numeral(n: int) -> str:
     return "|".join(alts + [top])
 
 
+#: ``bytes.translate`` arguments that keep only the digits, each as its value
+_VALUES = bytes.maketrans(b"0123456789", bytes(range(10)))
+_NOT_DIGITS = bytes(sorted(set(range(256)).difference(b"0123456789")))
+
+
 class ShapeTemplate(namedtuple("ShapeTemplate", "size ops names")):
     """The algebras of size ``size`` with the tables ``ops``, in that order,
     and the constants ``names``, and their record lines.
@@ -581,7 +593,7 @@ class ShapeTemplate(namedtuple("ShapeTemplate", "size ops names")):
     An entry vector holds the cells, table after table, each row-major, then
     the constants' values.  The format and the patterns are built from the
     same pieces as ``json.dumps(to_record(alg), separators=(",", ":"))``;
-    the patterns are compiled on first use.
+    the pattern is compiled on first use.
     """
 
     # no __slots__: the cached properties keep their values in __dict__
@@ -608,15 +620,30 @@ class ShapeTemplate(namedtuple("ShapeTemplate", "size ops names")):
         return self._record("%d", lambda s: s.replace("%", "%%"))
 
     @cached_property
-    def line(self) -> re.Pattern:
-        """Matches exactly the record lines whose entries lie in the carrier,
-        with one group per entry."""
-        return re.compile(self._record("(%s)" % _numeral(self.size), re.escape))
+    def lines(self) -> re.Pattern:
+        """Matches, in bytes, zero or more record lines whose entries lie in
+        the carrier, each ending in a newline."""
+        line = self._record("(?:%s)" % _numeral(self.size), re.escape)
+        return re.compile(("(?:%s\n)*" % line).encode())
 
     @cached_property
-    def lines(self) -> re.Pattern:
-        """Matches zero or more such lines, each ending in a newline."""
-        return re.compile("(?:%s\n)*" % self.line.pattern)
+    def digits(self) -> int:
+        """The digits of each record line if they are the size's and one per
+        entry, as below size 11 and for constant names without digits, else 0."""
+        n = self.size
+        if n > 10 or self.format.encode().translate(None, _NOT_DIGITS) != b"%d" % n:
+            return 0
+        return len(str(n)) + len(self.ops) * n * n + len(self.names)
+
+    def read(self, data: bytes, pos: int, end: int) -> tuple:
+        """(where the run of record lines that ``lines`` matches in
+        ``data[pos:end]`` stops, their entry vectors), for a shape with
+        ``digits``: the digits of the run, each as its value, hold each
+        line's size and entries at a fixed stride."""
+        stop = self.lines.match(data, pos, end).end()
+        values = tuple(data[pos:stop].translate(_VALUES, _NOT_DIGITS))
+        step, head = self.digits, len(str(self.size))
+        return stop, [values[i:i + step - head] for i in range(head, len(values) + head, step)]
 
     @cached_property
     def algebra(self) -> Callable[[tuple], FiniteAlgebra]:

@@ -9,7 +9,7 @@ lexicographically first failing tuple as a witness.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, permutations
 from math import isqrt
 from operator import itemgetter
 from typing import NamedTuple, Optional
@@ -157,36 +157,48 @@ class TableReports(dict):
         return found, _coincide(n, cells) if len(ops) == len(OP_ORDER) else (None, None)
 
 
+@lru_cache(maxsize=None)
+def _lines(n: int) -> tuple:
+    """(rows, columns, whether a line is a permutation of the carrier), the
+    first two each from a table's cells, row-major, of size ``n``."""
+    if n == 1:  # itemgetter of one item returns that item, not a tuple
+        rows = cols = lambda cells: (cells[:1],)
+    else:
+        rows = itemgetter(*[slice(r * n, r * n + n) for r in range(n)])
+        cols = itemgetter(*[slice(c, n * n, n) for c in range(n)])
+    if n <= 6:  # at most 720 permutations
+        return rows, cols, set(permutations(range(n))).__contains__
+    return rows, cols, lambda line: set(line) == set(range(n))
+
+
 def _scan(cells: tuple) -> OpReport:
     """Every property of one table, each scanned once over the table and its
     transpose.  Witnesses are the lexicographically first failing tuples;
     the group verdicts fail for the first missing requirement in the order
     associativity, identity, inverses (then commutativity)."""
     n = isqrt(len(cells))
-    t = tuple(cells[i:i + n] for i in range(0, n * n, n))
-    cols = tuple(zip(*t))
+    rows, columns, is_perm = _lines(n)
+    t, cols = rows(cells), columns(cells)
     rng = range(n)
-    comm_w = next(((a, b) for a in rng if t[a] != cols[a]
-                   for b in rng if t[a][b] != cols[a][b]), None)
+    comm_w = None if t == cols else next(
+        (a, b) for a in rng if t[a] != cols[a] for b in rng if t[a][b] != cols[a][b])
     assoc_w = next(((a, b, c) for a in rng for b in rng
                     if t[t[a][b]] != tuple(map(t[a].__getitem__, t[b]))
                     for c in rng if t[t[a][b]][c] != t[a][t[b][c]]), None)
-    latin_w = next(((kind, i) for kind, lines in (("row", t), ("col", cols))
-                    for i, line in enumerate(lines) if set(line) != set(rng)), None)
-    ids = tuple(e for e in rng if t[e] == cols[e] == tuple(rng))
+    latin = list(map(is_perm, t + cols))  # each row, then each column
+    latin_w = None
+    if not all(latin):
+        kind, i = divmod(latin.index(False), n)
+        latin_w = ("row", "col")[kind], i
+    carrier = tuple(rng)
+    ids = tuple(e for e in rng if t[e] == cols[e] == carrier) if carrier in t else ()
     group_r = (f"not associative at {assoc_w}" if assoc_w is not None
                else "no identity element" if not ids
                else next((f"no inverse for {a}" for a in rng
                           if not any(x == ids[0] == y for x, y in zip(t[a], cols[a]))), None))
     abelian_r = group_r or (comm_w and f"not commutative at {comm_w}")
-    return OpReport(
-        commutative=comm_w is None, commutative_witness=comm_w,
-        associative=assoc_w is None, associative_witness=assoc_w,
-        latin_square=latin_w is None, latin_square_witness=latin_w,
-        identity_elements=ids,
-        is_group=group_r is None, group_reason=group_r,
-        is_abelian_group=abelian_r is None, abelian_group_reason=abelian_r,
-    )
+    return OpReport(comm_w is None, comm_w, assoc_w is None, assoc_w, latin_w is None, latin_w,
+                    ids, group_r is None, group_r, abelian_r is None, abelian_r)
 
 
 def classify_structure(alg: FiniteAlgebra) -> StructureReport:

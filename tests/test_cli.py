@@ -436,6 +436,67 @@ def test_check_and_classify_answer_the_same_from_a_file_and_stdin(tmp_path, caps
                 assert from_file[1] or from_file[0] == cli.EXIT_CONFIG
 
 
+def _records_by_json(text: str) -> list:
+    """(template, entry vector) of each record line of ``text``, each line
+    read on its own by ``json``."""
+    out = []
+    for line in text.split("\n"):
+        if line.strip():
+            alg = from_record(json.loads(line))
+            out.append((template_of(alg), alg.cells + tuple(v for _, v in alg.constants)))
+    return out
+
+
+def test_block_reader_matches_json_line_by_line(tmp_path, monkeypatch):
+    rng = random.Random(19)
+
+    def record(n, ops, names):
+        return json.dumps({"size": n, "ops": {op: [[rng.randrange(n) for _ in range(n)]
+                                                   for _ in range(n)] for op in ops},
+                           "constants": {x: rng.randrange(n) for x in names}},
+                          separators=(",", ":"))
+
+    # runs of one shape (sizes 1-3, with and without a constant, a constant
+    # whose name holds a digit, size 10, tables out of order), lines json
+    # alone reads, a size-11 record, and a last line without a newline
+    odd = ["", "   ", "\r", " {} ", "{}\r", "\t{}"]
+    lines = []
+    for _ in range(60):
+        n = rng.choice((1, 2, 3, 3, 10))
+        ops = [op for op in ("prod", "ldiv", "rdiv") if rng.random() < 0.6] or ["rdiv"]
+        if rng.random() < 0.1:  # not the order the template writes
+            ops.reverse()
+        names = rng.choice([(), (), ("e",), ("c2",)])
+        lines += [record(n, ops, names) for _ in range(rng.randint(1, 40))]
+        lines.append(rng.choice(odd).format(record(n, ops, names)))
+    lines[100:100] = [record(11, ["prod"], ())]
+    lines += [record(2, ["prod"], ("e",)) for _ in range(30)]
+    text = "\n".join(lines)
+    want = _records_by_json(text)
+    assert len({t for t, _ in want}) > 20
+    f = tmp_path / "mixed.jsonl"
+    f.write_text(text, encoding="utf-8")
+    by_json = []
+    monkeypatch.setattr(cli, "from_record", lambda rec: by_json.append(rec) or from_record(rec))
+    for block in (1, 7, 64, cli._BLOCK):
+        monkeypatch.setattr(cli, "_BLOCK", block)
+        assert list(cli._read_records(str(f))) == want, block
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))  # no bytes beneath
+        assert list(cli._read_records("-")) == want, block
+    assert len(by_json) < len(want) * 8 / 2  # most lines were read by templates
+    # an error after a run read by the template names the line json names
+    bad = len(lines) - 1
+    lines[bad] = lines[bad].replace("]]", ",0]]", 1)
+    with pytest.raises(ValueError) as err:
+        _records_by_json("\n".join(lines))
+    f.write_text("\n".join(lines), encoding="utf-8")
+    for block in (7, cli._BLOCK):
+        monkeypatch.setattr(cli, "_BLOCK", block)
+        with pytest.raises(cli.CliError) as got:
+            list(cli._read_records(str(f)))
+        assert str(got.value) == f"{f}:{bad + 1}: bad algebra record: {err.value}"
+
+
 def test_classify_memo_stays_within_its_bound(tmp_path, capsys, monkeypatch):
     # every table of size 2 and 300 of size 3, twice, more than the bound
     # holds: the answers are those of a run with room for every table

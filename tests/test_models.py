@@ -498,10 +498,14 @@ def test_record_codec_matches_json(tmp_path):
         lines = [record_line(first), record_line(second)]
         assert lines == [json.dumps(to_record(a), separators=(",", ":"))
                          for a in (first, second)]
-        # the second line is read with the pattern of the first one's shape
+        # the second line is matched by the pattern of the first one's shape,
+        # and read by its template when its only digits are the size and entries
         template = template_of(first)
-        entries = template.line.fullmatch(lines[1]).groups()
-        assert template.algebra(tuple(map(int, entries))) == second
+        data = b"%s\n" % lines[1].encode()
+        assert template.lines.fullmatch(data)
+        if template.digits:
+            stop, [entries] = template.read(data, 0, len(data))
+            assert stop == len(data) and template.algebra(entries) == second
         assert _read_algebras(tmp_path, lines) == [from_record(json.loads(line))
                                                   for line in lines]
 

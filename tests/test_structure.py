@@ -91,13 +91,24 @@ def test_all_flags_vs_independent_scanner():
 
 
 def test_classify_op_matches_reference_scans():
-    # every size-2 table, then a seeded sample of size-3 tables, each under
-    # one of the three operations
+    # every size-2 table, then a seeded sample of size-3 tables, then of
+    # sizes 4-7 (on both sides of the latin test's permutation set, n <= 6):
+    # random tables, cyclic groups, relabeled, with their rows permuted, and
+    # the symmetric group S3; each under one of the three operations
     rng = random.Random(2013)
     tables = [[list(flat[:2]), list(flat[2:])]
               for flat in itertools.product(range(2), repeat=4)]
     tables += [[[rng.randrange(3) for _ in range(3)] for _ in range(3)]
                for _ in range(2000)]
+    s3 = list(itertools.permutations(range(3)))
+    tables.append([[s3.index(tuple(p[q[i]] for i in range(3))) for q in s3] for p in s3])
+    for n in range(4, 8):
+        tables += [[[rng.randrange(n) for _ in range(n)] for _ in range(n)] for _ in range(40)]
+        for _ in range(10):
+            label = rng.sample(range(n), n)
+            group = [[label[(label.index(a) + label.index(b)) % n] for b in range(n)]
+                     for a in range(n)]
+            tables += [group, rng.sample(group, n)]
     verdicts = set()
     for i, table in enumerate(tables):
         n = len(table)
