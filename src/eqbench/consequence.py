@@ -14,14 +14,27 @@ Two complementary engines:
 
 One function, ``_refuting_size``, combines them, and both
 ``semantic_consequence`` and ``consequence_set`` decide through it.  Each
-candidate is decided by the first step that settles it: the countermodels
-already found for the system in the same call (the pool, empty for
-``semantic_consequence``), then a countermodel search at sizes 1 and 2, then
-``derive`` (only when the size bound is at least 3), and last a search at
-sizes 3 up to the bound.  Since derivations are sound, a proved candidate
-holds in every model, and a proof spares it the exhaustive size-3 search.
-It is still reported as HoldsUpTo(k), never as proved, and a refutation is
-the first countermodel in enumeration order at the smallest size.
+candidate is decided by the first step that settles it:
+
+1. a candidate whose two sides are the same term holds, before any search;
+2. the countermodels already found for the system in the same call (the
+   pool, empty for ``semantic_consequence``);
+3. a countermodel search at sizes 1 and 2;
+4. at size 3, a short try of ``derive`` and then of the search, each within
+   ``SHORT_TRY_NODES`` nodes, then ``derive`` and the search in full;
+5. a search at each size from 4 up to the bound.
+
+``derive`` runs to its budgets on a candidate that does not follow, and a
+search runs to its end on one that holds, so at size 3 each first gets a
+short try.  On the default candidate space of every built-in system, the
+short ``derive`` proves each candidate that holds at size 3 and the short
+search refutes the rest: under a neutral reading of an operation, its
+commutativity can fail only from size 3 on, since every 2-element magma
+with a two-sided identity is commutative, and the short search finds that
+countermodel in 27 nodes where ``derive`` would run to its budget.  Since derivations are sound, a proved candidate holds
+in every model, and a proof spares it the exhaustive size-3 search.  It is
+still reported as HoldsUpTo(k), never as proved, and a refutation is the
+first countermodel in enumeration order at the smallest size.
 """
 
 from __future__ import annotations
@@ -119,6 +132,10 @@ class DeriveBudgets(namedtuple("DeriveBudgets", "max_term_depth max_steps max_no
 
 #: node budget for a single countermodel search
 DEFAULT_SEARCH_NODES = 5_000_000
+#: node budget of the short tries of ``derive`` and of the size-3 search in
+#: ``_refuting_size``; every proof in the derive golden needs at most 15 nodes
+SHORT_TRY_NODES = 64
+_SHORT_DERIVE = DeriveBudgets(max_nodes=SHORT_TRY_NODES)
 #: the most ordered term pairs a candidate space may have: (2, 2) has 348,100,
 #: built in about 15 s; (3, 2) has 7.3 million, unfinished after 2 min at 650 MB
 MAX_CANDIDATE_PAIRS = 1_000_000
@@ -138,10 +155,15 @@ def _refuting_size(sys: AxiomSystem, cand: Equation, max_size: int, pool: dict,
     ``cand`` fails, or None when it holds in every such model; the smallest
     such size when ``pool`` is empty.
 
-    The steps run in the order the module docstring gives.  ``pool`` maps
+    The steps run in the order the module docstring gives; a candidate with
+    equal sides holds at once, so no node cap applies to it.  ``pool`` maps
     each (size, table order) to the entry vectors of the countermodels of
     that layout found so far, and a countermodel a search finds joins it.
+    A short search gives up after about ``min(SHORT_TRY_NODES, max_nodes)``
+    nodes; a countermodel it finds is the one the full search would find.
     """
+    if cand.lhs == cand.rhs:
+        return None
     needed = operations_of_equation(cand)
     names = tuple(sorted(sys.constants))
     for (k, ops), vectors in pool.items():
@@ -154,11 +176,18 @@ def _refuting_size(sys: AxiomSystem, cand: Equation, max_size: int, pool: dict,
     # search in 0.03 s, and canonical order passes the 5,000,000-node cap
     ops = tuple(sorted(_search_ops(sys, cand), key=lambda op: op not in needed))
     for k in range(1, max_size + 1):
-        # derive runs to its budgets on identities that do not follow, so it
-        # only sees the candidates the cheap refutations left standing
-        if k == 3 and isinstance(derive(sys, cand), Proved):
-            return None
-        v = next(_vectors(sys, k, ops, cand, max_nodes), None)
+        v = None
+        if k == 3:
+            if isinstance(derive(sys, cand, _SHORT_DERIVE), Proved):
+                return None
+            try:
+                v = next(_vectors(sys, k, ops, cand, min(SHORT_TRY_NODES, max_nodes)), None)
+            except ResourceLimitError:
+                pass
+            if v is None and isinstance(derive(sys, cand), Proved):
+                return None
+        if v is None:
+            v = next(_vectors(sys, k, ops, cand, max_nodes), None)
         if v is not None:
             pool.setdefault((k, ops), []).append(v)
             return k

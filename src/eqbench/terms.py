@@ -20,7 +20,6 @@ insignificant.  All values in this module are immutable and hashable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Mapping, Union
 
@@ -64,23 +63,66 @@ VARIABLE_ALPHABET = "abcdefghijklmnopqrstuvwxyz"
 _VAR_SET = frozenset(VARIABLE_ALPHABET)
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+class _Value:
+    """Base of the term classes: immutable, printed as
+    ``Class(field=value, ...)`` and pickled by the fields in ``__slots__``.
+    Each subclass is equal only to an instance of its own class with equal
+    fields, and hashes as the tuple of its fields."""
 
-    def __post_init__(self):
-        if self.name not in _VAR_SET:
-            raise ValueError(f"variable must be a single lowercase letter, got {self.name!r}")
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot assign {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self.__slots__)
+
+
+_set = object.__setattr__
+
+
+class Var(_Value):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        if name not in _VAR_SET:
+            raise ValueError(f"variable must be a single lowercase letter, got {name!r}")
+        _set(self, "name", name)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.name == other.name
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.name,))
 
     def __str__(self):
         return self.name
 
 
-@dataclass(frozen=True)
-class App:
-    op: Op
-    left: "Term"
-    right: "Term"
+class App(_Value):
+    __slots__ = ("op", "left", "right")
+
+    def __init__(self, op: Op, left: "Term", right: "Term"):
+        _set(self, "op", op)
+        _set(self, "left", left)
+        _set(self, "right", right)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.op, self.left, self.right) == (other.op, other.left, other.right)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.op, self.left, self.right))
 
     def __str__(self):
         return format_term(self)
@@ -89,10 +131,20 @@ class App:
 Term = Union[Var, App]
 
 
-@dataclass(frozen=True)
-class Equation:
-    lhs: Term
-    rhs: Term
+class Equation(_Value):
+    __slots__ = ("lhs", "rhs")
+
+    def __init__(self, lhs: Term, rhs: Term):
+        _set(self, "lhs", lhs)
+        _set(self, "rhs", rhs)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.lhs, self.rhs) == (other.lhs, other.rhs)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.lhs, self.rhs))
 
     def __str__(self):
         return format_equation(self)

@@ -682,7 +682,7 @@ def test_warm_hit_on_a_large_shape_compiles_no_pattern(tmp_path, capsys):
     for _ in range(2):  # cold, then warm
         for fmt, want in cold.items():
             assert run(capsys, *base, *fmt, *cache) == want
-    assert "lines" not in vars(template) and "line" not in vars(template)
+    assert "lines" not in vars(template)
     # a line that json reads but that is not the record line as written is a miss
     [path] = (tmp_path / "cache").glob("*.jsonl")
     written = path.read_text(encoding="utf-8")
@@ -828,7 +828,7 @@ def _python(code, *args):
 
 def test_commands_load_only_the_modules_they_run(tmp_path):
     # each command in turn, in one process: what has been loaded after it;
-    # only a cache file name needs hashlib
+    # only a cache file name needs hashlib, and none needs dataclasses
     algebras = tmp_path / "c0.jsonl"
     algebras.write_text("".join(record_line(alg) + "\n"
                                 for alg in enumerate_models(builtin_system("C0"), 2)))
@@ -838,7 +838,7 @@ def test_commands_load_only_the_modules_they_run(tmp_path):
         "def loaded(argv):\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert eqbench.cli.main(argv) == 0\n"
-        "    return sorted(m for m in ('eqbench.consequence', 'eqbench.power',\n"
+        "    return sorted(m for m in ('dataclasses', 'eqbench.consequence', 'eqbench.power',\n"
         "                              'eqbench.structure', 'hashlib') if m in sys.modules)\n"
         "print(json.dumps([loaded(['enumerate', '--system', 'C0', '--size', '2', '--count']),\n"
         "                  loaded(['classify', '--algebra', sys.argv[1]]),\n"

@@ -278,7 +278,8 @@ def test_consequence_set_deterministic():
 
 @pytest.mark.parametrize("name,size", (
     [(name, 2) for name in ("none",) + BUILTIN_NAMES]
-    + [(name, 3) for name in ("C0", "Mx_as_printed", "Mx_neutral")]
+    + [(name, 3) for name in ("C0", "Mx_as_printed", "Mx_neutral", "Mldiv_neutral",
+                              "Mrdiv_neutral")]
 ))
 def test_consequence_set_equals_semantic_filter(name, size):
     # the proofs consequence_set relies on are checked against countermodel
@@ -288,6 +289,85 @@ def test_consequence_set_equals_semantic_filter(name, size):
     want = tuple(cand for cand in candidate_identities(space)
                  if search_verdict(sys_, cand, size) == HoldsUpTo(size))
     assert consequence_set(sys_, space, size) == want
+
+
+def _record_calls(monkeypatch):
+    """Record each derive (system name, candidate, budgets), search (system
+    name, candidate, size, node cap) and pool check (constant names,
+    candidate, size, table order) of the consequence engine."""
+    calls = []
+    real_derive, real_vectors = consequence.derive, consequence._vectors
+
+    def derive_(sys_, cand, budgets=None):
+        calls.append(("derive", sys_.name, cand, budgets))
+        return real_derive(sys_, cand, budgets)
+
+    def vectors_(sys_, n, ops, cand=None, max_nodes=None):
+        calls.append(("search", sys_.name, cand, n, max_nodes))
+        return real_vectors(sys_, n, ops, cand, max_nodes)
+
+    def compile_(eq, n, ops, names, bound=None):
+        calls.append(("compile", names, eq, n, ops))
+        return compile_check(eq, n, ops, names, bound)
+
+    monkeypatch.setattr(consequence, "derive", derive_)
+    monkeypatch.setattr(consequence, "_vectors", vectors_)
+    monkeypatch.setattr(consequence, "compile_check", compile_)
+    return calls
+
+
+def test_equal_sides_hold_before_any_search(monkeypatch):
+    calls = _record_calls(monkeypatch)
+    same = [eq for eq in candidate_identities(CandidateSpace()) if eq.lhs == eq.rhs]
+    assert len(same) == 7
+    for name in ("none", "C0", "Mx_neutral"):
+        sys_ = empty_system() if name == "none" else builtin_system(name)
+        pool = {(1, (Op.PROD, Op.LDIV, Op.RDIV)): [(0, 0, 0)]}
+        for eq in same:
+            assert consequence._refuting_size(sys_, eq, 3, pool) is None
+            assert semantic_consequence(sys_, eq, 3, max_nodes=1) == HoldsUpTo(3)
+        consequence_set(sys_, CandidateSpace(), 3)
+    assert {call[0] for call in calls} == {"derive", "search", "compile"}
+    assert not [call for call in calls if call[2].lhs == call[2].rhs]
+
+
+@pytest.mark.parametrize("name,text", [
+    ("Mx_neutral", "ab = ba"), ("Mldiv_neutral", "a:b = b:a"), ("Mrdiv_neutral", "a/b = b/a")])
+def test_neutral_commutativity_is_refuted_without_a_full_derive(monkeypatch, name, text):
+    # every 2-element magma with a two-sided identity is commutative, so
+    # only size 3 refutes the commutativity of the neutral reading's
+    # operation, and the short search does it
+    sys_, cand = builtin_system(name), parse_equation(text)
+    calls = _record_calls(monkeypatch)
+    verdict = semantic_consequence(sys_, cand, 3)
+    assert [call[3] for call in calls if call[0] == "derive"] == \
+        [DeriveBudgets(max_nodes=consequence.SHORT_TRY_NODES)]
+    calls.clear()
+    assert cand in candidate_identities(CandidateSpace())
+    assert cand not in consequence_set(sys_, CandidateSpace(), 3)
+    assert all(call[3] is not None for call in calls if call[0] == "derive")
+    monkeypatch.undo()
+    assert verdict == search_verdict(sys_, cand, 3)
+    assert isinstance(verdict, Refuted) and verdict.countermodel.size == 3
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_no_builtin_set_at_size_3_runs_a_full_derive(monkeypatch, name):
+    calls = _record_calls(monkeypatch)
+    consequence_set(builtin_system(name), CandidateSpace(), 3)
+    assert not [call for call in calls if call[0] == "derive" and call[3] is None]
+
+
+def test_short_search_keeps_a_smaller_node_cap(monkeypatch):
+    # the caller's cap, when it is below the short try's, is the short
+    # search's cap too, so it still ends the search: the size-2 search needs
+    # 16 nodes, the size-3 countermodel 27
+    sys_, cand = builtin_system("Mx_neutral"), parse_equation("ab = ba")
+    calls = _record_calls(monkeypatch)
+    with pytest.raises(ResourceLimitError):
+        semantic_consequence(sys_, cand, 3, max_nodes=20)
+    assert [call[4] for call in calls if call[0] == "search" and call[3] == 3] == [20, 20]
+    assert isinstance(semantic_consequence(sys_, cand, 3, max_nodes=30), Refuted)
 
 
 def test_pool_compiles_each_candidate_once_per_layout(monkeypatch):

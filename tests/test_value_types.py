@@ -1,5 +1,8 @@
-"""The value types outside ``terms``: how they are built, compared, hashed,
-printed and guarded."""
+"""The value types: how they are built, compared, hashed, printed and
+guarded."""
+
+import copy
+import pickle
 
 import pytest
 
@@ -23,7 +26,7 @@ from eqbench.models import (
 )
 from eqbench.power import PowerReport, RankReport
 from eqbench.structure import StructureReport, classify_structure
-from eqbench.terms import OP_ORDER, Op, parse_equation
+from eqbench.terms import OP_ORDER, App, Equation, Op, Var, parse_equation
 
 EQ = parse_equation("ab = ba")
 ALG = FiniteAlgebra(2, ((Op.PROD, ((0, 1), (1, 0))),), (("e", 0),))
@@ -144,3 +147,77 @@ def test_count_models_up_to_iso_keeps_the_other_options():
         count_models(g3, 2)
     with pytest.raises(ResourceLimitError):
         count_models(g3, 2, up_to_iso=True, opts=EnumOptions(max_results=1))
+
+
+# ---------------------------------------------------------------------------
+# the terms
+
+A, B = Var("a"), Var("b")
+AB = App(Op.PROD, A, B)
+
+#: (class, its fields in order with a value each, its repr)
+TERMS = [
+    (Var, {"name": "a"}, "Var(name='a')"),
+    (App, {"op": Op.LDIV, "left": AB, "right": B},
+     "App(op=<Op.LDIV: 'ldiv'>, left=App(op=<Op.PROD: 'prod'>, left=Var(name='a'), "
+     "right=Var(name='b')), right=Var(name='b'))"),
+    (Equation, {"lhs": AB, "rhs": A},
+     "Equation(lhs=App(op=<Op.PROD: 'prod'>, left=Var(name='a'), right=Var(name='b')), "
+     "rhs=Var(name='a'))"),
+]
+TERM_IDS = [cls.__name__ for cls, _, _ in TERMS]
+
+
+@pytest.mark.parametrize("cls,values,text", TERMS, ids=TERM_IDS)
+def test_terms_are_built_by_position_or_keyword(cls, values, text):
+    by_position = cls(*values.values())
+    assert by_position == cls(**values)
+    assert [getattr(by_position, f) for f in values] == list(values.values())
+    assert repr(by_position) == text
+
+
+@pytest.mark.parametrize("name", ["A", "ab", "", "1", 1])
+def test_a_variable_is_one_lowercase_letter(name):
+    with pytest.raises(ValueError) as exc:
+        Var(name=name)
+    assert str(exc.value) == f"variable must be a single lowercase letter, got {name!r}"
+
+
+@pytest.mark.parametrize("cls,values,text", TERMS, ids=TERM_IDS)
+def test_terms_equal_only_their_own_class_and_hash_as_their_fields(cls, values, text):
+    one, two = cls(**values), cls(*values.values())
+    fields = tuple(values.values())
+    assert one == two and one is not two and not one != two
+    assert hash(one) == hash(two) == hash(fields)
+    assert one != fields and fields != one
+    assert one != type("Sub", (cls,), {})(*fields)
+    assert len({one, two, fields}) == 2
+
+
+def test_terms_of_other_fields_differ():
+    assert Var("a") != Var("b")
+    assert App(Op.PROD, A, B) != App(Op.RDIV, A, B) != App(Op.RDIV, B, A)
+    assert Equation(A, B) != Equation(B, A)
+    assert Equation(A, B).flipped() == Equation(B, A)
+
+
+@pytest.mark.parametrize("cls,values,text", TERMS, ids=TERM_IDS)
+def test_term_fields_cannot_be_assigned_or_deleted(cls, values, text):
+    term = cls(**values)
+    for field in (*values, "other"):
+        with pytest.raises(AttributeError):
+            setattr(term, field, A)
+    for field in values:
+        with pytest.raises(AttributeError):
+            delattr(term, field)
+    assert term == cls(**values) and not hasattr(term, "other")
+
+
+@pytest.mark.parametrize("cls,values,text", TERMS, ids=TERM_IDS)
+def test_terms_copy_and_pickle(cls, values, text):
+    term = cls(**values)
+    for back in (copy.copy(term), copy.deepcopy(term),
+                 *(pickle.loads(pickle.dumps(term, protocol))
+                   for protocol in range(pickle.HIGHEST_PROTOCOL + 1))):
+        assert type(back) is cls and back == term and hash(back) == hash(term)
+        assert repr(back) == text
