@@ -3,7 +3,10 @@
 Two complementary engines:
 
 * the countermodel search (``models._vectors``) hunts for a finite model of
-  the system on which the identity fails;
+  the system on which the identity fails.  Its set-up for a (system, size,
+  table order) is built once and shared by every search of that layout, and
+  the candidate's check comes from ``models.compile_check``, as the pool's
+  and the witness's do, so a candidate is compiled once per layout;
 * ``derive`` searches for an equational derivation (reflexivity, symmetry,
   transitivity, congruence, substitution, axiom instances) within term-depth
   and step budgets, returning a replayable proof object.  Its work goes into
@@ -31,10 +34,11 @@ short ``derive`` proves each candidate that holds at size 3 and the short
 search refutes the rest: under a neutral reading of an operation, its
 commutativity can fail only from size 3 on, since every 2-element magma
 with a two-sided identity is commutative, and the short search finds that
-countermodel in 27 nodes where ``derive`` would run to its budget.  Since derivations are sound, a proved candidate holds
-in every model, and a proof spares it the exhaustive size-3 search.  It is
-still reported as HoldsUpTo(k), never as proved, and a refutation is the
-first countermodel in enumeration order at the smallest size.
+countermodel in 27 nodes where ``derive`` would run to its budget.  Since
+derivations are sound, a proved candidate holds in every model, and a proof
+spares it the exhaustive size-3 search.  It is still reported as
+HoldsUpTo(k), never as proved, and a refutation is the first countermodel
+in enumeration order at the smallest size.
 """
 
 from __future__ import annotations

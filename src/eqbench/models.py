@@ -11,17 +11,19 @@ countermodels.
 Enumeration fills table cells in a fixed order (tables in canonical operation
 order, row-major, then constants), so the emitted stream is in lexicographic
 order of the serialized (tables, constants) bundle.  The search core yields
-entry vectors (cells, then constants); an algebra is built from a vector only
-for a caller that asks for one, so enumeration to records, counting and the
-canonical test work on the vectors alone.  The fixed fill order fixes the
-last slot each check reads, and the search tests the check once, when that
-slot is written.  A ground instance of an axiom whose sides have depth <= 1
-is one (source, i) pair: its later cell must equal ``source[i]``, an earlier
-cell or a fixed value.  A cell's first pair that names no constant forces
-it, a run of forced cells is filled in one step, and a failed pair that
-names a constant rules out one value of it.  Axioms with a deeper side or
-two constants are compiled and tested whole.  The same search, given a
-candidate identity, emits only the models that violate it.
+entry vectors (cells, then constants); an algebra is built only for a caller
+that asks for one.  Its set-up, the plan (``_plan``), depends only on the
+system, size and table order, and is built once and shared by the searches
+of that layout.  Each search (``_vectors``) fills a vector of its own, the
+slots and then the carrier's values, which the plan's entries index.  The
+fill order fixes the last slot each check reads, and the check is tested
+when that slot is written.  A ground instance of an axiom whose sides have
+depth <= 1 is a pair under its later slot; a slot's first pair that names no
+constant forces it, a run of forced slots is written in one step from the
+free cells and values its pairs reach, and a failed pair that names a
+constant rules out one value of it.  Other axioms are compiled and tested
+whole.  A candidate's check joins a copy of one slot's test, so the search
+emits only the models that violate it and the plan is never changed.
 
 The record line format is defined once, by the shape template of an
 algebra's size, tables and constant names: one ``%`` format writes the
@@ -196,9 +198,9 @@ def _layout(n: int, ops, names) -> tuple:
     return base, {name: len(base) * n * n + k for k, name in enumerate(names)}
 
 
-# One process of ``rank`` over six systems asks for 233 distinct checkers,
-# more than any other command or query list does (rank C0-C3: 76, of 244
-# lookups; compare: 157; the query lists: 184-191), at about 0.9 kB each.
+# Every search gets its checks here: rank C0-C3 asks for 91 checkers (of 273
+# lookups), compare for 155, a query list for 604-609 (its 190-200 hits all
+# come within one question), rank over all 15 built-ins for 493; ~0.9 kB each.
 @lru_cache(maxsize=256)
 def compile_check(eq: Equation, n: int, ops: tuple, names: tuple, bound=None):
     """Checker for ``eq`` on the entry vectors of size ``n`` with the tables
@@ -277,124 +279,124 @@ def _ordered_ops(sys: AxiomSystem, opts: EnumOptions) -> tuple:
     return tuple(op for op in OP_ORDER if op in wanted)
 
 
-def _vectors(sys: AxiomSystem, n: int, ops: tuple, cand: Optional[Equation] = None,
-             max_nodes: Optional[int] = None) -> Iterator[tuple]:
-    """Depth-first stream of the entry vectors (cells, table after table and
-    each row-major, then the constants' values) of the models of ``sys`` of
-    size ``n`` over the tables ``ops``, in fill order; with ``cand``, of
-    those on which it fails.
+#: the most plans kept, the oldest dropped first; rank over all 15 built-ins builds 105
+_PLAN_LIMIT = 128
+_plans: dict = {}  # (id(system), size, table order) -> (system, holding its id; plan)
 
-    Slots fill strictly in order, so each check is tested once, when the
-    last slot it reads is written.  A ground instance of a depth <= 1 axiom
-    that names at most one constant is a pair (source, i) under its later
-    slot, which must equal ``source[i]``, an earlier cell or a value of the
-    carrier; one whose sides are two different variables rules out its
-    constant's value from the start.  A slot's first pair that names no
-    constant forces it, and a run of forced slots is written, and cleared,
-    in one step.  A slot's test runs its other pairs,
-    then the candidate's compiled check (which must fail), then those of the
-    axioms with a deeper side or two constants (which must hold).  A failed
-    pair masks the constants' live values with its ``keep``, which rules out
-    the value it names, or every value when it names no constant; a
-    constant's own slot rules out its other values.  A pair on a forced slot
-    whose sides reach the same cell or value through ``forced`` is dropped.
 
-    With ``max_nodes``, raise ResourceLimitError once more nodes than that
-    have been visited; nodes are counted as slots are left, n per slot but
-    slot 0, so the cap is noticed at most ``n * total`` nodes late.
-    """
+def _plan(sys: AxiomSystem, n: int, ops: tuple) -> Optional[tuple]:
+    """The set-up all searches of ``sys`` at size ``n`` over ``ops`` share; None: no model."""
+    key = (id(sys), n, ops)
+    if key in _plans:
+        return _plans[key][1]
     n2 = n * n
     names = tuple(sorted(sys.constants))
     base, slot_of = _layout(n, ops, names)
     total = len(ops) * n2 + len(names)
-    cells = [-1] * total
-    carrier = range(n)
     forced = [None] * total  # each slot's first pair that names no constant
-    pairs = {}  # each slot's other pairs, as (source, i, keep, bits)
+    pairs = {}  # each slot's other pairs, as (entry, keep, bits)
     later = []  # (slot, pair) of each other pair, until forced is complete
     checks = {}  # (compiled check, whether it must hold) under the last slot it reads
-    unsat = False
-    at_start = -1  # the constants' live values before any slot is written
+    unsat, at_start = False, -1  # at_start: the constants' live values before any slot is written
 
-    def side(t, env):  # (its cell, or -1 for a variable; its pair)
-        if isinstance(t, Var):
-            return -1, (carrier, env[t.name])
-        cell = base[t.op] + env[t.left.name] * n + env[t.right.name]
-        return cell, (cells, cell)
+    def side(t, env):  # (its cell, or -1 for a variable; the entry it reads)
+        cell = -1 if isinstance(t, Var) else base[t.op] + env[t.left.name] * n + env[t.right.name]
+        return cell, total + env[t.name] if cell < 0 else cell
 
-    def last_read(used, named):  # the last slot of the tables ``used`` and constants ``named``
+    def last_read(used, free):  # the last slot of the tables used and the constants in free
+        named = slot_of.keys() & free
         if named:  # the constants come after the tables
             return max(map(slot_of.get, named))
         return max(map(base.get, used), default=-n2) + n2 - 1  # -1 when it reads none
 
-    def cond(pair, x, v):  # (*pair, mask ruling out value v of x, x's n bits)
-        return (*pair, ~(1 << names.index(x) * n + v), (1 << n) - 1 << names.index(x) * n)
+    def cond(entry, x, v):  # (entry, mask ruling out value v of x, x's n bits)
+        return entry, ~(1 << names.index(x) * n + v), (1 << n) - 1 << names.index(x) * n
 
     for x, s in slot_of.items():  # a constant's own slot rules out its other values
-        pairs[s] = [cond((carrier, v), x, v) for v in carrier]
-
+        pairs[s] = [cond(total + v, x, v) for v in range(n)]
     for eq in sys.equations:
         used = operations_of_equation(eq)
-        missing = used - set(ops)
+        missing = [op.value for op in OP_ORDER if op in used and op not in ops]
         if missing:
-            listed = ", ".join(op.value for op in sorted(missing, key=OP_ORDER.index))
-            raise MissingTableError(f"missing table {listed}")
+            raise MissingTableError(f"missing table {', '.join(missing)}")
         free = variables_of_equation(eq)
         named = slot_of.keys() & free
-        deep = term_depth(eq.lhs) > 1 or term_depth(eq.rhs) > 1
-        if deep or len(named) > 1:
-            checks.setdefault(last_read(used, named), []).append(
-                (_compile(eq, n, base, slot_of), True))
+        if term_depth(eq.lhs) > 1 or term_depth(eq.rhs) > 1 or len(named) > 1:
+            checks.setdefault(last_read(used, free), []).append(
+                (compile_check(eq, n, ops, names), True))
             continue
-        for values in itertools.product(carrier, repeat=len(free)):
+        for values in itertools.product(range(n), repeat=len(free)):
             env = dict(zip(free, values))
-            a, b = side(eq.lhs, env), side(eq.rhs, env)
-            (low, pair), (high, other) = (a, b) if a[0] <= b[0] else (b, a)
+            (low, entry), (high, other) = sorted((side(eq.lhs, env), side(eq.rhs, env)))
             if low == high:  # two variables, or one cell
-                if pair != other:  # no model, or none where the constant has its value in env
+                if entry != other:  # no model, or none where the constant has its value in env
                     unsat = unsat or not named
                     for x in named:
-                        at_start &= cond(pair, x, env[x])[2]
+                        at_start &= cond(entry, x, env[x])[1]
             elif named:  # binding while the constant it names has its value in env
-                later.extend((high, cond(pair, x, env[x])) for x in named)
+                later.extend((high, cond(entry, x, env[x])) for x in named)
             elif forced[high] is None:
-                forced[high] = pair
+                forced[high] = entry
             else:
-                later.append((high, (*pair, 0, 0)))
-    if unsat:
-        return
-    if cand is not None:  # tested before the axioms' checks under its slot
-        cut = last_read(operations_of_equation(cand), slot_of.keys() & variables_of_equation(cand))
-        checks.setdefault(cut, []).insert(0, (_compile(cand, n, base, slot_of), False))
-    for check, holds in checks.pop(-1, ()):  # a check that reads no slot
-        if (check(cells) is None) is not holds:
-            return
-
-    def root(source, i):  # the free cell or the value (source, i) reaches
-        while source is cells and forced[i] is not None:
-            source, i = forced[i]
-        return source, i
-
+                later.append((high, (entry, 0, 0)))
+    roots = list(range(total + n))  # the free cell or the value each entry reaches
+    for s, entry in enumerate(forced):  # an entry forces only later slots
+        if entry is not None:
+            roots[s] = roots[entry]
     for s, p in later:  # drop those on a forced slot that reach what the slot reaches
-        if forced[s] is None or root(p[0], p[1]) != root(cells, s):
+        if forced[s] is None or roots[p[0]] != roots[s]:
             pairs.setdefault(s, []).append(p)
-    tests = [None] * total  # (the slot tested before, pairs, checks)
-    below = total
+    tests, below = [None] * total, total  # (the slot tested before, pairs, checks) per slot
     for s in sorted({*pairs, *checks}):
         tests[s], below = (below, pairs.get(s, ()), checks.get(s, ())), s
-    live = [-1] * total + [at_start]  # the mask each tested slot leaves; at total, at_start
-    runs = [None] * total  # (start, stop, blank) of a run, at its first and last slot
-    start = 0
-    for s in range(total):  # a run ends at a tested slot and before a free one
-        if forced[s] is None:
-            start = s + 1
-        elif s == total - 1 or forced[s + 1] is None or tests[s] is not None:
-            runs[start] = runs[s] = (start, s + 1, [-1] * (s + 1 - start))
-            start = s + 1
 
+    def runs_ending_at(cut):  # each run ends at a tested slot, at ``cut`` and before a free one
+        runs, start = [None] * total, 0  # (start, stop, blank, getter) at its first and last slot
+        for s in range(total):
+            if forced[s] is None:
+                start = s + 1
+            elif s in (cut, total - 1) or forced[s + 1] is None or tests[s] is not None:
+                got = roots[start:s + 1]  # a getter of one item returns it, not a tuple
+                get = itemgetter(*got) if len(got) > 1 else itemgetter(slice(got[0], got[0] + 1))
+                runs[start] = runs[s] = start, s + 1, [-1] * len(got), get
+                start = s + 1
+        return runs
+
+    if len(_plans) == _PLAN_LIMIT:
+        del _plans[next(iter(_plans))]
+    _plans[key] = sys, None if unsat else (  # the runs, then those split at each table's end
+        total, names, last_read, tests, at_start, runs_ending_at(-1),
+        {cut: runs_ending_at(cut) for cut in (base[op] + n2 - 1 for op in ops)})
+    return _plans[key][1]
+
+
+def _vectors(sys: AxiomSystem, n: int, ops: tuple, cand: Optional[Equation] = None,
+             max_nodes: Optional[int] = None) -> Iterator[tuple]:
+    """Depth-first stream of the entry vectors (cells, table after table and
+    each row-major, then the constants' values) of the models of ``sys`` of
+    size ``n`` over the tables ``ops``, in fill order; with ``cand``, of those
+    on which it fails; with ``max_nodes``, ResourceLimitError once more nodes
+    are counted.  A search runs its layout's shared ``_plan`` on a vector and
+    masks of its own, and ``cand``'s check joins a copy of one slot's test."""
+    plan = _plan(sys, n, ops)
+    if plan is None:
+        return
+    total, names, last_read, tests, at_start, runs, split = plan
+    cells = [-1] * total + list(range(n))  # the slots, then the values entries name
+    if cand is not None:  # its check runs first in a copy of its last slot's test
+        check = compile_check(cand, n, ops, names)
+        cut = last_read(operations_of_equation(cand), variables_of_equation(cand))
+        if cut < 0 and check(cells) is None:  # it holds, reading no slot
+            return
+        if cut >= 0:  # where a run passes a table's end ``cut``, it is split there
+            runs, tests = split.get(cut, runs), tests.copy()
+            below, tied, checked = tests[cut] or (
+                next((s for s in range(cut - 1, -1, -1) if tests[s]), total), (), ())
+            tests[cut] = below, tied, ((check, False), *checked)
     if total == 0:
         yield ()
         return
+    live = [-1] * total + [at_start]  # the mask each tested slot leaves; at total, at_start
     limit = float("inf") if max_nodes is None else max_nodes
     last = total - 1
     nodes = slot = 0
@@ -413,7 +415,7 @@ def _vectors(sys: AxiomSystem, n: int, ops: tuple, cand: Optional[Equation] = No
                 continue
             cells[slot] = v
         else:  # a run: written going forward, cleared going back
-            start, stop, blank = run
+            start, stop, blank, get = run
             if cells[start] >= 0:
                 cells[start:stop] = blank
                 nodes += n * (stop - max(start, 1))  # slot 0 counts none
@@ -423,15 +425,15 @@ def _vectors(sys: AxiomSystem, n: int, ops: tuple, cand: Optional[Equation] = No
                     return
                 slot = start - 1
                 continue
-            for slot in range(start, stop):
-                source, i = forced[slot]
-                v = cells[slot] = source[i]
+            cells[start:stop] = get(cells)
+            slot = stop - 1
+            v = cells[slot]
         test = tests[slot]
         if test is not None:  # a failed test leaves ``test`` set
             below, tied, checked = test
             mask = live[below]
-            for source, i, keep, bits in tied:
-                if source[i] != v:
+            for entry, keep, bits in tied:
+                if cells[entry] != v:
                     mask &= keep
                     if not mask & bits:
                         break
@@ -447,9 +449,9 @@ def _vectors(sys: AxiomSystem, n: int, ops: tuple, cand: Optional[Equation] = No
         if slot < last:
             slot += 1
         else:
-            yield tuple(cells)
-    raise ResourceLimitError(f"countermodel search for {format_equation(cand)!r} "
-                             f"exceeded {max_nodes} nodes at size {n}")
+            yield tuple(cells[:total])
+    what = "enumeration" if cand is None else f"countermodel search for {format_equation(cand)!r}"
+    raise ResourceLimitError(f"{what} exceeded {max_nodes} nodes at size {n}")
 
 
 def enumerate_vectors(sys: AxiomSystem, n: int, opts: Optional[EnumOptions] = None

@@ -1,10 +1,11 @@
+import hashlib
 import json
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from eqbench import consequence
+from eqbench import consequence, models
 from eqbench.axioms import BUILTIN_NAMES, builtin_system, empty_system, make_system
 from eqbench.consequence import (
     CandidateSpace,
@@ -159,6 +160,21 @@ def test_derive_reproduces_golden_records():
         verdict = derive(builtin_system(row["system"]), parse_equation(row["identity"]), budgets)
         row["verdict"] = verdict_record(verdict)
         assert json.dumps(row, separators=(",", ":")) == line
+
+
+def test_refute_reproduces_golden_records():
+    # the 840 questions of the benchmark's query workload, seeds 1-3, each
+    # with the sha256 of its verdict record; regenerate with
+    # tests/golden/make_refute_records.py only when the search's output
+    # should change
+    golden = Path(__file__).parent / "golden" / "refute_records.jsonl"
+    rows = [json.loads(line) for line in golden.read_text(encoding="utf-8").splitlines()]
+    assert len(rows) == 3 * 280
+    for row in rows:
+        verdict = semantic_consequence(builtin_system(row["system"]),
+                                       parse_equation(row["identity"]), row["bound"])
+        line = json.dumps(verdict_record(verdict), separators=(",", ":"))
+        assert hashlib.sha256(line.encode()).hexdigest() == row["sha256"], row
 
 
 def test_every_proved_derivation_revalidates():
@@ -384,6 +400,27 @@ def test_pool_compiles_each_candidate_once_per_layout(monkeypatch):
         compiled.clear()
         consequence_set(builtin_system(name), CandidateSpace(2, 1), 3)
         assert compiled and Counter(compiled).most_common(1)[0][1] == 1, name
+
+
+@pytest.mark.parametrize("text,layouts", [
+    ("ab = a", {(1, "prod,ldiv,rdiv"), (2, "prod,ldiv,rdiv")}),
+    ("a:b = a", {(1, "ldiv,prod,rdiv"), (2, "ldiv,prod,rdiv"), (2, "prod,ldiv,rdiv")}),
+])
+def test_refuted_candidate_compiles_once_per_layout(monkeypatch, text, layouts):
+    # the searches and the witness get the candidate's check from
+    # compile_check, so each (size, table order) compiles it once
+    compiled = []
+
+    def counting(eq, n, base, slot):
+        if eq == cand:
+            compiled.append((n, ",".join(op.value for op in sorted(base, key=base.get))))
+        return compile_(eq, n, base, slot)
+
+    sys_, cand, compile_ = builtin_system("C1"), parse_equation(text), models._compile
+    monkeypatch.setattr(models, "_compile", counting)
+    models.compile_check.cache_clear()
+    assert isinstance(semantic_consequence(sys_, cand, 3), Refuted)
+    assert sorted(compiled) == sorted(layouts)
 
 
 @pytest.mark.parametrize("text,searches", [

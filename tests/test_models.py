@@ -1,11 +1,17 @@
+import hashlib
 import itertools
 import json
+import os
 import random
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from eqbench.axioms import builtin_system, empty_system, make_system
+from eqbench import models
+from eqbench.axioms import builtin_system, empty_system, make_system, system_ops
 from eqbench.consequence import HoldsUpTo, Refuted, semantic_consequence
 from eqbench.models import (
     EnumOptions,
@@ -26,6 +32,7 @@ from eqbench.models import (
     template_of,
     to_record,
     _numeral,
+    _vectors,
 )
 from eqbench.cli import CliError, _read_records
 from eqbench.terms import OP_ORDER, Op, parse_equation, parse_term
@@ -283,9 +290,10 @@ def test_node_cap_fires_at_a_fixed_count(name, cand, ops, threshold):
     def capped(max_nodes):
         return list(search(builtin_system(name), 3, ops, parse_equation(cand), max_nodes))
 
-    with pytest.raises(ResourceLimitError):
-        capped(threshold - 1)
-    assert capped(threshold) == []
+    for _ in range(2):  # the second time on the layout's kept plan
+        with pytest.raises(ResourceLimitError):
+            capped(threshold - 1)
+        assert capped(threshold) == []
 
 
 def test_node_cap_of_a_deep_axiom_tested_before_the_last_slot():
@@ -298,11 +306,74 @@ def test_node_cap_of_a_deep_axiom_tested_before_the_last_slot():
     def capped(max_nodes):
         return list(search(assoc, 2, ops, cand, max_nodes))
 
-    with pytest.raises(ResourceLimitError):
-        capped(267)
     want = [m for m in oracle_models(assoc, 2, ops)
             if not o_satisfies(dict(m.tables), cand, 2, dict(m.constants))]
-    assert capped(268) == want and len(want) == 64
+    for _ in range(2):  # the second time on the layout's kept plan
+        with pytest.raises(ResourceLimitError):
+            capped(267)
+        assert capped(268) == want and len(want) == 64
+
+
+# ---------------------------------------------------------------------------
+# one plan per layout, shared by its searches
+
+# C0 forces its ldiv and rdiv cells in one run, which a check on ldiv splits
+# at ldiv's last cell; Mx_neutral's constant e has pairs that mask its values
+SHARED_LAYOUTS = [("C0", 3, "a:b = b:a"), ("C0", 3, "ab = ba"), ("Mx_neutral", 3, "ab = ba")]
+
+
+def _shared(name, text):
+    """The system, its tables in canonical order, and the candidate."""
+    sys_ = builtin_system(name)
+    return sys_, tuple(op for op in OP_ORDER if op in system_ops(sys_)), parse_equation(text)
+
+
+@pytest.mark.parametrize("name, n, text", SHARED_LAYOUTS)
+def test_interleaved_searches_of_one_layout_match_each_alone(name, n, text):
+    sys_, ops, cand = _shared(name, text)
+    alone = [list(_vectors(sys_, n, ops)), list(_vectors(sys_, n, ops, cand))]
+    assert alone[0] and alone[1] and len(alone[1]) < len(alone[0])
+    together = list(itertools.zip_longest(_vectors(sys_, n, ops), _vectors(sys_, n, ops, cand),
+                                          _vectors(sys_, n, ops)))
+    assert [[v for v in column if v is not None] for column in zip(*together)] == \
+        alone + alone[:1]
+
+
+def _stream_digests(name, n, text):
+    """sha256 of the full stream of the layout, and of its stream with the candidate."""
+    sys_, ops, cand = _shared(name, text)
+    return [hashlib.sha256(repr(list(_vectors(sys_, n, ops, c))).encode()).hexdigest()
+            for c in (None, cand)]
+
+
+def test_an_abandoned_search_leaves_its_layout_as_a_fresh_process_finds_it():
+    # a refute takes the first countermodel and drops the search
+    for name, n, text in SHARED_LAYOUTS:
+        sys_, ops, cand = _shared(name, text)
+        for c in (None, cand):
+            assert next(_vectors(sys_, n, ops, c)) is not None
+    warm = [_stream_digests(*layout) for layout in SHARED_LAYOUTS]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([src, str(Path(__file__).resolve().parent)]))
+    code = ("import json, test_models; print(json.dumps([test_models._stream_digests(*layout) "
+            "for layout in test_models.SHARED_LAYOUTS]))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == warm
+
+
+def test_plan_memo_keeps_at_most_its_bound():
+    systems = [make_system(f"s{i}", [parse_equation("ab = ba")])
+               for i in range(models._PLAN_LIMIT + 10)]
+    for sys_ in systems:
+        for n in (1, 2):
+            assert list(_vectors(sys_, n, (Op.PROD,)))
+            assert len(models._plans) <= models._PLAN_LIMIT
+    assert (id(systems[-1]), 2, (Op.PROD,)) in models._plans
+    # a plan holds its system, so an id in the memo is never another system's
+    assert all(id(kept) == key[0] for key, (kept, _) in models._plans.items())
 
 
 def test_size_limit_needs_override():
