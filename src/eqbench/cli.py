@@ -248,23 +248,29 @@ def _write_cache(path: Path, body: str):
         raise
 
 
-#: lines written to stdout in one write
+#: lines (or items made into lines) written in one write
 _BATCH = 512
 
 
-def _write_lines(lines):
-    """Write each of ``lines`` and a newline to stdout, in batches; the lines
-    already made are written when making the next one raises."""
+def _joined(lines) -> str:
+    return "\n".join(lines) + "\n"
+
+
+def _write_lines(items, text=_joined, write=None):
+    """Write ``text`` of each batch of ``_BATCH`` of ``items`` (each a line,
+    by default) through ``write`` (stdout's by default); the items already
+    made are written when making the next one raises."""
+    write = write or _sys.stdout.write
     batch = []
     try:
-        for line in lines:
-            batch.append(line)
+        for item in items:
+            batch.append(item)
             if len(batch) == _BATCH:
                 done, batch = batch, []
-                _sys.stdout.write("\n".join(done) + "\n")
+                write(text(done))
     finally:
         if batch:
-            _sys.stdout.write("\n".join(batch) + "\n")
+            write(text(batch))
 
 
 def cmd_enumerate(args) -> int:
@@ -283,8 +289,9 @@ def cmd_enumerate(args) -> int:
         body = _read_cache(path, template)
         if body is None:
             # raises past the cap, so only complete enumerations are cached
-            body = "".join(map((template.format + "\n").__mod__,
-                               enumerate_vectors(sys_, args.size, opts)))
+            parts = []
+            _write_lines(enumerate_vectors(sys_, args.size, opts), template.write, parts.append)
+            body = "".join(parts)
             _write_cache(path, body)
         count = body.count("\n")
         if args.max_results is not None and count > args.max_results:
@@ -302,7 +309,7 @@ def cmd_enumerate(args) -> int:
     if args.count:
         print(sum(1 for _ in vectors))
     elif args.format == "records":
-        _write_lines(map(template.format.__mod__, vectors))
+        _write_lines(vectors, template.write)
     else:
         _write_lines(_algebra_text(template.algebra(v)) for v in vectors)
     return EXIT_OK

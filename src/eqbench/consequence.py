@@ -148,11 +148,6 @@ MAX_CANDIDATE_PAIRS = 1_000_000
 # ---------------------------------------------------------------------------
 # semantic consequence
 
-def _search_ops(sys: AxiomSystem, cand: Equation) -> tuple:
-    wanted = system_ops(sys) | operations_of_equation(cand)
-    return tuple(op for op in OP_ORDER if op in wanted)
-
-
 def _refuting_size(sys: AxiomSystem, cand: Equation, max_size: int, pool: dict,
                    max_nodes: int = DEFAULT_SEARCH_NODES) -> Optional[int]:
     """The size of a model of ``sys`` of size <= ``max_size`` on which
@@ -178,7 +173,8 @@ def _refuting_size(sys: AxiomSystem, cand: Equation, max_size: int, pool: dict,
     # the candidate's tables first, so its check runs before the others are
     # filled: for C1 and a:b = a/b at size 3, (ldiv, rdiv, prod) settles the
     # search in 0.03 s, and canonical order passes the 5,000,000-node cap
-    ops = tuple(sorted(_search_ops(sys, cand), key=lambda op: op not in needed))
+    wanted = system_ops(sys) | needed
+    ops = tuple(sorted((op for op in OP_ORDER if op in wanted), key=lambda op: op not in needed))
     for k in range(1, max_size + 1):
         v = None
         if k == 3:
@@ -209,11 +205,13 @@ def semantic_consequence(sys: AxiomSystem, cand: Equation, max_size: int,
     k = _refuting_size(sys, cand, max_size, pool, max_nodes)
     if k is None:
         return HoldsUpTo(max_size)
-    ops, names = _search_ops(sys, cand), tuple(sorted(sys.constants))
-    # _refuting_size searched with the candidate's tables first; when that is
-    # the canonical order too, the vector it found is the one wanted here
-    found = pool.get((k, ops))
-    v = found[0] if found else next(_vectors(sys, k, ops, cand, max_nodes))
+    # the pool holds the countermodel _refuting_size found, searching with the
+    # candidate's tables first; when that is the canonical order too, it is
+    # the one wanted here
+    [((_, searched), [v])] = pool.items()
+    ops, names = tuple(op for op in OP_ORDER if op in searched), tuple(sorted(sys.constants))
+    if ops != searched:
+        v = next(_vectors(sys, k, ops, cand, max_nodes))
     witness = compile_check(cand, k, ops, names)(v)
     return Refuted(shape_template(k, ops, names).algebra(v), tuple(sorted(witness.items())))
 

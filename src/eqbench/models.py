@@ -586,6 +586,8 @@ def _numeral(n: int) -> str:
 #: ``bytes.translate`` arguments that keep only the digits, each as its value
 _VALUES = bytes.maketrans(b"0123456789", bytes(range(10)))
 _NOT_DIGITS = bytes(sorted(set(range(256)).difference(b"0123456789")))
+#: the ``bytes.translate`` table that writes each value below 10 as its digit
+_DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
 
 
 class ShapeTemplate(namedtuple("ShapeTemplate", "size ops names")):
@@ -646,6 +648,30 @@ class ShapeTemplate(namedtuple("ShapeTemplate", "size ops names")):
         values = tuple(data[pos:stop].translate(_VALUES, _NOT_DIGITS))
         step, head = self.digits, len(str(self.size))
         return stop, [values[i:i + step - head] for i in range(head, len(values) + head, step)]
+
+    @cached_property
+    def _zeros(self) -> tuple:
+        """(the record line, newline included, in bytes, of the entry vector
+        of zeros; the offset of each entry's digit in it), for a shape with
+        ``digits``: the size's digits come first, then one per entry."""
+        line = (self.format % ((0,) * (self.digits - len(str(self.size)))) + "\n").encode()
+        at = [i for i, c in enumerate(line) if c in b"0123456789"]
+        return line, at[len(str(self.size)):]
+
+    def write(self, vectors) -> str:
+        """The record lines of the entry vectors ``vectors``, a sequence, each
+        ending in a newline.  For a shape with ``digits``, the values of the
+        batch, each written as its digit, go to copies of one line at a fixed
+        stride, entry by entry; any other shape's lines come from ``format``."""
+        if not self.digits:
+            return "".join(map((self.format + "\n").__mod__, vectors))
+        line, offsets = self._zeros
+        out = bytearray(line * len(vectors))
+        digits = b"".join(map(bytes, vectors)).translate(_DIGITS)
+        step, k = len(line), len(offsets)
+        for i, at in enumerate(offsets):
+            out[at::step] = digits[i::k]
+        return out.decode()
 
     @cached_property
     def algebra(self) -> Callable[[tuple], FiniteAlgebra]:

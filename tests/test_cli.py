@@ -552,7 +552,7 @@ def test_audit_text_mode_mentions_claim(capsys):
     assert "G1 with Mx_as_printed" in out
 
 
-def test_enumerate_max_results_cap_exit_code(capsys, monkeypatch):
+def test_enumerate_max_results_cap_exit_code(tmp_path, capsys, monkeypatch):
     code, out, err = run(capsys, "enumerate", "--system", "none", "--ops", "prod",
                          "--size", "2", "--max-results", "5", "--format", "records")
     assert code == cli.EXIT_RESOURCE
@@ -568,6 +568,21 @@ def test_enumerate_max_results_cap_exit_code(capsys, monkeypatch):
         assert run(capsys, "enumerate", "--system", "none", "--ops", "prod", "--size", "2",
                    "--max-results", str(cap), "--format", "records")[:2] == (
             cli.EXIT_RESOURCE, "".join(full.splitlines(keepends=True)[:cap]))
+    # the same for a shape with a constant, with the cap just before, at and
+    # just past the end of a batch; a cold cache file holds the same lines
+    base = ["enumerate", "--system", "C0", "--system", "Mx_neutral", "--size", "2",
+            "--format", "records"]
+    code, full, _ = run(capsys, *base)
+    assert code == 0 and len(full.splitlines()) == 4 and '"constants":{"e":' in full
+    assert full == "".join(record_line(from_record(json.loads(line))) + "\n"
+                           for line in full.splitlines())
+    for cap in (cli._BATCH - 1, cli._BATCH, cli._BATCH + 1):
+        assert run(capsys, *base, "--max-results", str(cap))[:2] == (
+            cli.EXIT_RESOURCE, "".join(full.splitlines(keepends=True)[:cap]))
+    cache = tmp_path / "cache"
+    assert run(capsys, *base, "--cache-dir", str(cache))[:2] == (0, full)
+    [path] = cache.glob("*.jsonl")
+    assert path.read_text(encoding="utf-8") == full + cli._end_marker(4) + "\n"
 
 
 def test_enumerate_builds_the_relabeling_table_only_up_to_iso(capsys, monkeypatch):

@@ -555,6 +555,7 @@ def test_from_record_on_odd_and_malformed_input(tmp_path, name):
 def test_record_codec_matches_json(tmp_path):
     rng = random.Random(1895)
     names = ["e", "%d", "100%", 'say "e"', "back\\slash", "\u00e9l\u00e9ment"]
+    kernels = set()  # whether write's byte kernel made a shape's lines
     for _ in range(300):
         n = rng.randint(1, 12)
         ops = rng.sample(OP_ORDER, rng.randint(0, 3))
@@ -579,6 +580,28 @@ def test_record_codec_matches_json(tmp_path):
             assert stop == len(data) and template.algebra(entries) == second
         assert _read_algebras(tmp_path, lines) == [from_record(json.loads(line))
                                                   for line in lines]
+        # write makes the lines format does, by its byte kernel or by format
+        vectors = [a.cells + tuple(v for _, v in a.constants) for a in (first, second)]
+        assert template.write(vectors) == "".join(template.format % v + "\n" for v in vectors)
+        assert template.write([]) == ""
+        kernels.add(bool(template.digits))
+    assert kernels == {True, False}
+    for n in range(1, 13):  # no tables and no constants: every line is the same
+        template = template_of(make_algebra(n, {}))
+        assert template.write([(), ()]) == 2 * (template.format % () + "\n")
+    # past 512 entries, by the tables (the fallback) or by the constants (the
+    # byte kernel), write compiles no pattern
+    letters = "abcdefghijklmnopqrstuvwxyz"
+    for n, ops, names in ((14, tuple(OP_ORDER), ()),
+                          (2, (Op.PROD,), tuple(sorted(x + y for x in letters for y in letters)))):
+        template = models.ShapeTemplate(n, ops, names)
+        entries = len(ops) * n * n + len(names)
+        assert entries > 512 and bool(template.digits) == (n < 11)
+        vectors = [tuple(rng.randrange(n) for _ in range(entries)) for _ in range(3)]
+        want = "".join(json.dumps(to_record(template.algebra(v)), separators=(",", ":")) + "\n"
+                       for v in vectors)
+        assert template.write(vectors) == want
+        assert "lines" not in vars(template)
 
 
 def test_numeral_pattern_matches_the_carrier_as_json_writes_it():
