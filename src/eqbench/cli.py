@@ -44,6 +44,7 @@ from .models import (
     ShapeTemplate,
     bind_constants,
     compile_check,
+    count_models,
     enumerate_models,
     enumerate_vectors,
     from_record,
@@ -305,10 +306,11 @@ def cmd_enumerate(args) -> int:
             _write_lines(_algebra_text(t.algebra(v)) for t, v in _records(io.StringIO(body), path))
         return EXIT_OK
 
-    vectors = enumerate_vectors(sys_, args.size, opts)
     if args.count:
-        print(sum(1 for _ in vectors))
-    elif args.format == "records":
+        print(count_models(sys_, args.size, args.up_to_iso, opts))
+        return EXIT_OK
+    vectors = enumerate_vectors(sys_, args.size, opts)
+    if args.format == "records":
         _write_lines(vectors, template.write)
     else:
         _write_lines(_algebra_text(template.algebra(v)) for v in vectors)

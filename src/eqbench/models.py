@@ -23,7 +23,11 @@ constant forces it, a run of forced slots is written in one step from the
 free cells and values its pairs reach, and a failed pair that names a
 constant rules out one value of it.  Other axioms are compiled and tested
 whole.  A candidate's check joins a copy of one slot's test, so the search
-emits only the models that violate it and the plan is never changed.
+emits only the models that violate it and the plan is never changed.  An
+enumeration stops at the untested tail, the slots after the last tested one:
+every value of the tail's free slots gives a model, so the search hands the
+tail to one ``itertools.product`` in its own order, and a raw count adds up
+n**k per arrival there without building a vector.
 
 The record line format is defined once, by the shape template of an
 algebra's size, tables and constant names: one ``%`` format writes the
@@ -39,8 +43,8 @@ import json
 import re
 from collections import namedtuple
 from functools import cached_property, lru_cache, partial
-from itertools import chain
-from operator import itemgetter, ne, sub
+from itertools import chain, product, repeat
+from operator import add, itemgetter, ne, sub
 from typing import Callable, Iterator, Mapping, Optional
 
 from .axioms import AxiomSystem, system_ops
@@ -349,6 +353,10 @@ def _plan(sys: AxiomSystem, n: int, ops: tuple) -> Optional[tuple]:
     tests, below = [None] * total, total  # (the slot tested before, pairs, checks) per slot
     for s in sorted({*pairs, *checks}):
         tests[s], below = (below, pairs.get(s, ()), checks.get(s, ())), s
+    tail = below + 1 if below < total else 0  # the untested slots after the last tested one
+
+    def getter(got):  # a getter of one item returns it, not a tuple
+        return itemgetter(*got) if len(got) > 1 else itemgetter(slice(got[0], got[0] + 1))
 
     def runs_ending_at(cut):  # each run ends at a tested slot, at ``cut`` and before a free one
         runs, start = [None] * total, 0  # (start, stop, blank, getter) at its first and last slot
@@ -356,17 +364,21 @@ def _plan(sys: AxiomSystem, n: int, ops: tuple) -> Optional[tuple]:
             if forced[s] is None:
                 start = s + 1
             elif s in (cut, total - 1) or forced[s + 1] is None or tests[s] is not None:
-                got = roots[start:s + 1]  # a getter of one item returns it, not a tuple
-                get = itemgetter(*got) if len(got) > 1 else itemgetter(slice(got[0], got[0] + 1))
-                runs[start] = runs[s] = start, s + 1, [-1] * len(got), get
+                got = roots[start:s + 1]
+                runs[start] = runs[s] = start, s + 1, [-1] * len(got), getter(got)
                 start = s + 1
         return runs
 
+    # the tail's k free slots take the values of a product tuple that comes
+    # before the search's vector, and every other entry reads what it reaches
+    at = {s: i for i, s in enumerate(t for t in range(tail, total) if forced[t] is None)}
+    got = [at.get(r, len(at) + r) for r in roots[:total]]
+    leaf = tail, len(at), getter(got) if tail < total else None
     if len(_plans) == _PLAN_LIMIT:
         del _plans[next(iter(_plans))]
     _plans[key] = sys, None if unsat else (  # the runs, then those split at each table's end
         total, names, last_read, tests, at_start, runs_ending_at(-1),
-        {cut: runs_ending_at(cut) for cut in (base[op] + n2 - 1 for op in ops)})
+        {cut: runs_ending_at(cut) for cut in (base[op] + n2 - 1 for op in ops)}, leaf)
     return _plans[key][1]
 
 
@@ -376,13 +388,28 @@ def _vectors(sys: AxiomSystem, n: int, ops: tuple, cand: Optional[Equation] = No
     each row-major, then the constants' values) of the models of ``sys`` of
     size ``n`` over the tables ``ops``, in fill order; with ``cand``, of those
     on which it fails; with ``max_nodes``, ResourceLimitError once more nodes
-    are counted.  A search runs its layout's shared ``_plan`` on a vector and
-    masks of its own, and ``cand``'s check joins a copy of one slot's test."""
+    are counted.  The vectors of ``_blocks``, one block after another."""
+    return chain.from_iterable(_blocks(sys, n, ops, cand, max_nodes))
+
+
+def _blocks(sys: AxiomSystem, n: int, ops: tuple, cand: Optional[Equation] = None,
+            max_nodes: Optional[int] = None) -> Iterator[Iterator[tuple]]:
+    """The search behind ``_vectors``: at each leaf it reaches, the block of
+    entry vectors below it, made lazily.  A search runs its layout's shared
+    ``_plan`` on a vector and masks of its own, and ``cand``'s check joins a
+    copy of one slot's test.  With ``cand`` or ``max_nodes`` it walks slot by
+    slot, and each leaf is a model, a block of one.  An enumeration (neither)
+    stops at the plan's untested tail, the slots after the last one with a
+    test: no check reads them, so every value of its k free slots (its forced
+    ones copy the cells they reach) gives a model, and the leaf's block is the
+    n**k of them in the product's order, which is the walk's order."""
     plan = _plan(sys, n, ops)
     if plan is None:
         return
-    total, names, last_read, tests, at_start, runs, split = plan
+    total, names, last_read, tests, at_start, runs, split, (tail, k, get) = plan
     cells = [-1] * total + list(range(n))  # the slots, then the values entries name
+    if cand is not None or max_nodes is not None:  # slot by slot to the last
+        tail, get = total, None
     if cand is not None:  # its check runs first in a copy of its last slot's test
         check = compile_check(cand, n, ops, names)
         cut = last_read(operations_of_equation(cand), variables_of_equation(cand))
@@ -393,12 +420,16 @@ def _vectors(sys: AxiomSystem, n: int, ops: tuple, cand: Optional[Equation] = No
             below, tied, checked = tests[cut] or (
                 next((s for s in range(cut - 1, -1, -1) if tests[s]), total), (), ())
             tests[cut] = below, tied, ((check, False), *checked)
-    if total == 0:
-        yield ()
+
+    def block():  # every value of the tail's free slots, after the search's vector
+        return map(get, map(add, product(range(n), repeat=k), repeat(tuple(cells))))
+
+    if not tail:  # no slot, or none tested
+        yield block() if total else ((),)
         return
     live = [-1] * total + [at_start]  # the mask each tested slot leaves; at total, at_start
     limit = float("inf") if max_nodes is None else max_nodes
-    last = total - 1
+    last = tail - 1
     nodes = slot = 0
     while True:
         run = runs[slot]
@@ -415,7 +446,7 @@ def _vectors(sys: AxiomSystem, n: int, ops: tuple, cand: Optional[Equation] = No
                 continue
             cells[slot] = v
         else:  # a run: written going forward, cleared going back
-            start, stop, blank, get = run
+            start, stop, blank, run_get = run
             if cells[start] >= 0:
                 cells[start:stop] = blank
                 nodes += n * (stop - max(start, 1))  # slot 0 counts none
@@ -425,7 +456,7 @@ def _vectors(sys: AxiomSystem, n: int, ops: tuple, cand: Optional[Equation] = No
                     return
                 slot = start - 1
                 continue
-            cells[start:stop] = get(cells)
+            cells[start:stop] = run_get(cells)
             slot = stop - 1
             v = cells[slot]
         test = tests[slot]
@@ -448,8 +479,10 @@ def _vectors(sys: AxiomSystem, n: int, ops: tuple, cand: Optional[Equation] = No
                 continue
         if slot < last:
             slot += 1
-        else:
-            yield tuple(cells[:total])
+        elif get is None:
+            yield (tuple(cells[:total]),)
+        else:  # the tail, then on from the slot before it as if the tail were used up
+            yield block()
     what = "enumeration" if cand is None else f"countermodel search for {format_equation(cand)!r}"
     raise ResourceLimitError(f"{what} exceeded {max_nodes} nodes at size {n}")
 
@@ -464,14 +497,8 @@ def enumerate_vectors(sys: AxiomSystem, n: int, opts: Optional[EnumOptions] = No
     default size limit without ``allow_large``, and while iterating once
     ``max_results`` is surpassed.
     """
-    if n < 1:
-        raise ValueError("size must be >= 1")
     opts = opts or EnumOptions()
-    if n > DEFAULT_SIZE_LIMIT and not opts.allow_large:
-        raise ResourceLimitError(
-            f"size {n} exceeds the default limit of {DEFAULT_SIZE_LIMIT}; "
-            "pass allow_large to override")
-    ops = _ordered_ops(sys, opts)
+    ops = _enumerated_ops(sys, n, opts)
     vectors = _vectors(sys, n, ops)
     if opts.up_to_iso:  # the table has n! rows, so it is built only here
         vectors = filter(partial(_is_least, _relabeling_table(n, len(ops), len(sys.constants))),
@@ -479,6 +506,17 @@ def enumerate_vectors(sys: AxiomSystem, n: int, opts: Optional[EnumOptions] = No
     if opts.max_results is not None:
         vectors = _capped(vectors, opts.max_results)
     return vectors
+
+
+def _enumerated_ops(sys: AxiomSystem, n: int, opts: EnumOptions) -> tuple:
+    """The table order of an enumeration of size ``n``; raises on a size it refuses."""
+    if n < 1:
+        raise ValueError("size must be >= 1")
+    if n > DEFAULT_SIZE_LIMIT and not opts.allow_large:
+        raise ResourceLimitError(
+            f"size {n} exceeds the default limit of {DEFAULT_SIZE_LIMIT}; "
+            "pass allow_large to override")
+    return _ordered_ops(sys, opts)
 
 
 def _capped(vectors: Iterator[tuple], cap: int) -> Iterator[tuple]:
@@ -504,8 +542,22 @@ def enumerate_models(sys: AxiomSystem, n: int, opts: Optional[EnumOptions] = Non
 
 def count_models(sys: AxiomSystem, n: int, up_to_iso: bool = False,
                  opts: Optional[EnumOptions] = None) -> int:
+    """How many vectors ``enumerate_vectors`` yields, raising as it does.
+    Without ``up_to_iso`` no vector is built: each block of the search adds
+    n**k, where k is the number of free slots in its layout's untested tail."""
     opts = (opts or EnumOptions())._replace(up_to_iso=up_to_iso)
-    return sum(1 for _ in enumerate_vectors(sys, n, opts))
+    if up_to_iso:
+        return sum(1 for _ in enumerate_vectors(sys, n, opts))
+    ops = _enumerated_ops(sys, n, opts)
+    plan = _plan(sys, n, ops)
+    each = n ** plan[-1][1] if plan else 0
+    cap = opts.max_results
+    count = 0
+    for _ in _blocks(sys, n, ops):
+        count += each
+        if cap is not None and count > cap:
+            raise ResourceLimitError(f"more than max_results={cap} models exist")
+    return count
 
 
 # ---------------------------------------------------------------------------
@@ -548,9 +600,15 @@ def canonical_form(alg: FiniteAlgebra) -> bytes:
 
 def _is_least(table: tuple, v: tuple) -> bool:
     """True iff no relabeling in ``table`` gives a smaller entry vector than ``v``."""
-    return all(  # the first nonzero difference decides each comparison
-        next(filter(None, map(sub, map(perm.__getitem__, map(v.__getitem__, sources)), v)), 0) >= 0
-        for perm, sources in table[1:])
+    if not v:
+        return True
+    first = v[0]
+    for perm, sources in table[1:]:  # the first entry decides most comparisons
+        head = perm[v[sources[0]]]
+        if head < first or head == first and next(filter(None, map(  # the first difference
+                sub, map(perm.__getitem__, map(v.__getitem__, sources)), v)), 0) < 0:
+            return False
+    return True
 
 
 def is_canonical(alg: FiniteAlgebra) -> bool:

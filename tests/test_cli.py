@@ -50,6 +50,20 @@ def test_enumerate_count_c1_size2(capsys):
     assert code == 0 and out == "128\n"
 
 
+def test_enumerate_count_of_c1_size3_builds_no_vector(capsys):
+    # C1 tests no cell at size 3, so its 3**15 models are one block, counted
+    started = time.monotonic()
+    code, out, _ = run(capsys, "enumerate", "--system", "C1", "--size", "3", "--count")
+    assert (code, out) == (0, "14348907\n") and time.monotonic() - started < 5
+    code, out, _ = run(capsys, "enumerate", "--system", "C1", "--size", "3", "--count",
+                       "--max-results", "14348907")
+    assert (code, out) == (0, "14348907\n")
+    code, out, err = run(capsys, "enumerate", "--system", "C1", "--size", "3", "--count",
+                         "--max-results", "14348906")
+    assert (code, out) == (cli.EXIT_RESOURCE, "")
+    assert err == "error: more than max_results=14348906 models exist\n"
+
+
 def test_enumerate_records_are_valid_json(capsys):
     code, out, _ = run(capsys, "enumerate", "--system", "C0", "--size", "2",
                        "--format", "records")

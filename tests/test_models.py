@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import operator
 import os
 import random
 import re
@@ -11,7 +12,8 @@ from pathlib import Path
 import pytest
 
 from eqbench import models
-from eqbench.axioms import builtin_system, empty_system, make_system, system_ops
+from eqbench.axioms import (BUILTIN_NAMES, builtin_system, empty_system, make_system, merge,
+                             system_ops)
 from eqbench.consequence import HoldsUpTo, Refuted, semantic_consequence
 from eqbench.models import (
     EnumOptions,
@@ -374,6 +376,102 @@ def test_plan_memo_keeps_at_most_its_bound():
     assert (id(systems[-1]), 2, (Op.PROD,)) in models._plans
     # a plan holds its system, so an id in the memo is never another system's
     assert all(id(kept) == key[0] for key, (kept, _) in models._plans.items())
+
+
+# ---------------------------------------------------------------------------
+# the untested tail of an enumeration
+
+MERGES = [("C0", "Mx_neutral"), ("C1", "Mldiv_neutral"), ("Mx_neutral", "Mrdiv_neutral"),
+          ("G1", "Mx_neutral")]
+# the built-ins force every cell they test nothing on, so their tail starts at
+# the first slot or is empty; associativity tests prod's last cell, which
+# leaves rdiv as the tail: its cells free, copying one of its own, a value
+# (a/a = a) or a prod cell (a/b = ab)
+TAIL_SYSTEMS = [
+    make_system("assoc_rdiv_sym", [parse_equation(t) for t in
+                                   ("(ab)c = a(bc)", "a/b = b/a", "a/a = a")]),
+    make_system("assoc_rdiv_copy", [parse_equation(t) for t in ("(ab)c = a(bc)", "a/b = ab")]),
+]
+
+
+def _nineteen():
+    """(name, system) of the 15 built-ins and four merges of them."""
+    return ([(name, builtin_system(name)) for name in BUILTIN_NAMES]
+            + [(f"{a}+{b}", merge([builtin_system(a), builtin_system(b)])) for a, b in MERGES])
+
+
+def test_an_enumeration_tail_streams_as_the_walk_slot_by_slot():
+    # every table order of the 19 systems, the canonical one of the others
+    layouts = [(sys_, ops) for _, sys_ in _nineteen() for ops in itertools.permutations(
+        op for op in OP_ORDER if op in system_ops(sys_))]
+    layouts += [(sys_, (Op.PROD, Op.RDIV)) for sys_ in TAIL_SYSTEMS]
+    layouts.append((empty_system(), (Op.PROD,)))  # at size 1 a getter of one item
+    tails = set()
+    for sys_, ops in layouts:
+        for n in (1, 2, 3):
+            cap = 3_000 if n == 3 else None
+            plan = models._plan(sys_, n, ops)
+            if plan is not None:
+                tails.add((plan[-1][0] == 0, plan[-1][0] == plan[0], plan[-1][1] == 0))
+            assert list(itertools.islice(_vectors(sys_, n, ops), cap)) == \
+                list(itertools.islice(_vectors(sys_, n, ops, None, 10**9), cap))
+    # tails at the first slot, in the middle with and without free slots, and none
+    assert {(True, False, False), (False, False, False), (False, False, True),
+            (False, True, True)} <= tails
+
+
+@pytest.mark.parametrize("name, n, total", [("C0", 3, 1_092_402), ("C1", 2, 1_284),
+                                            ("G1", 3, 1_008)])
+def test_a_capped_enumeration_walks_every_slot(name, n, total):
+    # a node cap keeps the walk slot by slot, so its count does not change
+    sys_ = builtin_system(name)
+    ops = tuple(op for op in OP_ORDER if op in system_ops(sys_))
+    with pytest.raises(ResourceLimitError, match="enumeration exceeded"):
+        list(_vectors(sys_, n, ops, None, total - 1))
+    assert list(_vectors(sys_, n, ops, None, total)) == list(_vectors(sys_, n, ops))
+
+
+def test_raw_counts_add_up_the_tails():
+    for name, sys_ in _nineteen():
+        for n in (1, 2):
+            assert count_models(sys_, n) == len(list(enumerate_models(sys_, n))), (name, n)
+    c0 = builtin_system("C0")
+    assert count_models(c0, 3) == len(list(models.enumerate_vectors(c0, 3))) == 19_683
+    for sys_ in TAIL_SYSTEMS:
+        opts = EnumOptions(ops=frozenset({Op.PROD, Op.RDIV}))
+        for n in (1, 2, 3):
+            assert count_models(sys_, n, opts=opts) == len(list(enumerate_models(sys_, n, opts)))
+    # past max_results a count raises as the enumeration does
+    c1 = builtin_system("C1")
+    assert count_models(c1, 3, opts=EnumOptions(max_results=14_348_907)) == 14_348_907
+    with pytest.raises(ResourceLimitError, match="max_results=14348906"):
+        count_models(c1, 3, opts=EnumOptions(max_results=14_348_906))
+
+
+def _reference_is_least(table, v):
+    """``models._is_least`` as it compared each relabeling in full."""
+    return all(
+        next(filter(None, map(operator.sub, map(perm.__getitem__, map(v.__getitem__, sources)),
+                              v)), 0) >= 0
+        for perm, sources in table[1:])
+
+
+def test_is_least_decides_as_the_full_comparison():
+    table = models._relabeling_table(3, 3, 0)
+    c0 = list(models._vectors(builtin_system("C0"), 3, (Op.PROD, Op.LDIV, Op.RDIV)))
+    assert [models._is_least(table, v) for v in c0] == [_reference_is_least(table, v) for v in c0]
+    rng = random.Random(23)
+    for n, tables, constants in [(2, 1, 1), (3, 1, 2), (3, 0, 2), (4, 1, 1), (3, 2, 1),
+                                 (2, 0, 0), (3, 0, 1)]:
+        table = models._relabeling_table(n, tables, constants)
+        width = tables * n * n + constants
+        for _ in range(300):
+            v = tuple(rng.randrange(n) for _ in range(width))
+            # and its least relabeling, so both answers occur
+            least = min(tuple(perm[v[k]] for k in sources) for perm, sources in table)
+            for w in (v, least):
+                assert models._is_least(table, w) == _reference_is_least(table, w), (n, w)
+            assert models._is_least(table, least)
 
 
 def test_size_limit_needs_override():
