@@ -19,7 +19,7 @@ import io
 import json
 import os
 import sys as _sys
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from functools import lru_cache, partial
 from pathlib import Path
 
@@ -49,6 +49,7 @@ from .models import (
     enumerate_vectors,
     from_record,
     models_template,
+    past_max_results,
     record_line,
     template_of,
     to_record,
@@ -231,18 +232,21 @@ def _is_record_line(template: ShapeTemplate, line: bytes) -> bool:
     return template_of(alg) == template and record_line(alg).encode() == line
 
 
-def _write_cache(path: Path, body: str):
-    """Write the record lines ``body`` and the end marker through a temp
-    file of this writer's own, then rename it into place, so readers never
-    see a partial file."""
+@contextmanager
+def _write_cache(path: Path, serve):
+    """Yield ``serve`` teed into a temp file of this writer's own.  When the
+    block ends, write the end marker and rename the file into place, so
+    readers never see a partial file; when it raises (the cap, a closed pipe,
+    an error), remove the file, so a run cut short is not cached."""
     import tempfile
 
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.stem + ".", suffix=".tmp")
+    counts = []
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as f:
-            f.write(body)
-            f.write(_end_marker(body.count("\n")) + "\n")
+            yield lambda lines: (f.write(lines), counts.append(lines.count("\n")), serve(lines))
+            f.write(_end_marker(sum(counts)) + "\n")
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -277,43 +281,38 @@ def _write_lines(items, text=_joined, write=None):
 def cmd_enumerate(args) -> int:
     sys_ = _resolve_merged(args.system)
     ops = _parse_ops(args.ops) if args.ops else None
-    opts = EnumOptions(
-        up_to_iso=args.up_to_iso,
-        max_results=args.max_results,
-        ops=ops,
-        allow_large=args.allow_large,
-    )
-    template = models_template(sys_, args.size, opts)
+    opts = EnumOptions(up_to_iso=args.up_to_iso, max_results=args.max_results, ops=ops,
+                       allow_large=args.allow_large)
     cache_dir = args.cache_dir or os.environ.get(CACHE_ENV)
-    if cache_dir:
-        path = _cache_path(cache_dir, sys_, ops, args.size, args.up_to_iso)
-        body = _read_cache(path, template)
-        if body is None:
-            # raises past the cap, so only complete enumerations are cached
-            parts = []
-            _write_lines(enumerate_vectors(sys_, args.size, opts), template.write, parts.append)
-            body = "".join(parts)
-            _write_cache(path, body)
-        count = body.count("\n")
-        if args.max_results is not None and count > args.max_results:
-            raise ResourceLimitError(
-                f"more than max_results={args.max_results} models exist")
-        if args.count:
-            print(count)
-        elif args.format == "records":
-            _sys.stdout.write(body)
-        else:
-            _write_lines(_algebra_text(t.algebra(v)) for t, v in _records(io.StringIO(body), path))
-        return EXIT_OK
-
-    if args.count:
+    if args.count and not cache_dir:  # added up without making a line
         print(count_models(sys_, args.size, args.up_to_iso, opts))
         return EXIT_OK
-    vectors = enumerate_vectors(sys_, args.size, opts)
-    if args.format == "records":
-        _write_lines(vectors, template.write)
+    template = models_template(sys_, args.size, opts)
+    counts = []
+
+    def serve(lines: str):
+        """The one output stage: write record lines in the asked format, or count them."""
+        if args.count:
+            counts.append(lines.count("\n"))
+        elif args.format == "records":
+            _sys.stdout.write(lines)
+        else:
+            _write_lines(_algebra_text(t.algebra(v))
+                         for t, v in _records(io.StringIO(lines), "enumerate"))
+
+    path = _cache_path(cache_dir, sys_, ops, args.size, args.up_to_iso) if cache_dir else None
+    body = _read_cache(path, template) if path else None
+    if body is not None:  # a hit is served as the enumeration would be
+        cap = args.max_results
+        if cap is not None and body.count("\n") > cap:
+            serve("\n".join(body.split("\n", cap)[:cap]) + "\n")
+            past_max_results(cap)
+        serve(body)
     else:
-        _write_lines(_algebra_text(template.algebra(v)) for v in vectors)
+        with _write_cache(path, serve) if path else nullcontext(serve) as write:
+            _write_lines(enumerate_vectors(sys_, args.size, opts), template.write, write)
+    if args.count:
+        print(sum(counts))
     return EXIT_OK
 
 

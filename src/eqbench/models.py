@@ -45,7 +45,7 @@ from collections import namedtuple
 from functools import cached_property, lru_cache, partial
 from itertools import chain, product, repeat
 from operator import add, itemgetter, ne, sub
-from typing import Callable, Iterator, Mapping, Optional
+from typing import Callable, Iterator, Mapping, NoReturn, Optional
 
 from .axioms import AxiomSystem, system_ops
 from .terms import (
@@ -522,8 +522,13 @@ def _enumerated_ops(sys: AxiomSystem, n: int, opts: EnumOptions) -> tuple:
 def _capped(vectors: Iterator[tuple], cap: int) -> Iterator[tuple]:
     for k, v in enumerate(vectors):
         if k == cap:
-            raise ResourceLimitError(f"more than max_results={cap} models exist")
+            past_max_results(cap)
         yield v
+
+
+def past_max_results(cap: int) -> NoReturn:
+    """Raise the error of an enumeration that has more than ``cap`` models."""
+    raise ResourceLimitError(f"more than max_results={cap} models exist")
 
 
 def models_template(sys: AxiomSystem, n: int, opts: Optional[EnumOptions] = None
@@ -556,7 +561,7 @@ def count_models(sys: AxiomSystem, n: int, up_to_iso: bool = False,
     for _ in _blocks(sys, n, ops):
         count += each
         if cap is not None and count > cap:
-            raise ResourceLimitError(f"more than max_results={cap} models exist")
+            past_max_results(cap)
     return count
 
 

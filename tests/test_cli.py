@@ -621,7 +621,7 @@ def test_enumerate_max_results_cap_with_cache(tmp_path, capsys):
     assert code == cli.EXIT_RESOURCE
 
 
-def test_enumerate_max_results_on_cold_cache_stops_early(tmp_path, capsys):
+def test_enumerate_max_results_on_cold_cache_stops_early(tmp_path, capsys, monkeypatch):
     # C1 has 14,348,907 models of size 3; the cap must stop the search, and
     # an enumeration cut short by it must not be cached
     started = time.monotonic()
@@ -637,6 +637,24 @@ def test_enumerate_max_results_on_cold_cache_stops_early(tmp_path, capsys):
     assert len(list(tmp_path.glob("*.jsonl"))) == 1
     code, _, _ = run(capsys, *args, "--max-results", "100")
     assert code == cli.EXIT_RESOURCE
+    # a closed pipe stops a cold run quietly, and caches nothing either
+    out = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            if self.tell():
+                raise BrokenPipeError
+            return super().write(text)
+
+        def fileno(self):  # where main puts the null device
+            return out
+
+    monkeypatch.setattr("sys.stdout", ClosedPipe())
+    cache = tmp_path / "pipe"
+    assert cli.main(["enumerate", "--system", "C0", "--size", "3", "--format", "records",
+                     "--cache-dir", str(cache)]) == cli.EXIT_OK
+    os.close(out)
+    assert list(cache.glob("*.jsonl")) == list(cache.glob("*.tmp")) == []
 
 
 def test_corrupt_cache_file_is_a_miss(tmp_path, capsys):
@@ -735,6 +753,32 @@ def test_cache_hit_serves_every_format(tmp_path, capsys, monkeypatch):
         json.dumps(to_record(a), separators=(",", ":")) + "\n" for a in algebras
     ) + json.dumps({"records": len(algebras)}) + "\n"
 
+    # without a cache, on a cold one and on a warm one, a run prints the same
+    # bytes and exits the same, in every format, with the cap below, at and
+    # past the count, in batches of 512 lines and of two; the shapes: one
+    # with a constant, and two of more than 512 entries (checked line by line)
+    (tmp_path / "projections.eq").write_text("ab = a\na:b = a\na/b = a\n")
+    (tmp_path / "constant.eq").write_text("ab = cc\n")
+    shapes = {(*base, "--format"): 4}
+    for name, size, count in (("projections", 40, 1), ("constant", 23, 23)):
+        shapes["enumerate", "--system", str(tmp_path / f"{name}.eq"), "--size", str(size),
+               "--allow-large", "--format"] = count
+    full = {shape: tmp_path / f"full{k}" for k, shape in enumerate(shapes)}
+    cases = {}
+    for batch in (cli._BATCH, 2):
+        monkeypatch.setattr(cli, "_BATCH", batch)
+        for shape, count in shapes.items():
+            assert run(capsys, *shape, "text", "--cache-dir", str(full[shape]))[0] == 0
+            for fmt in (["records"], ["text"], ["text", "--count"]):
+                for cap in (None, count - 1, count, count + 1):
+                    argv = [*shape, *fmt] + (["--max-results", str(cap)] if cap else [])
+                    cache = tmp_path / f"cache{len(cases)}"
+                    want = cases[batch, shape, cache, *argv] = run(capsys, *argv)
+                    assert want[0] == (cli.EXIT_RESOURCE if cap and cap < count else 0)
+                    assert run(capsys, *argv, "--cache-dir", str(cache)) == want
+                    # a run the cap stops caches nothing
+                    assert len(list(cache.glob("*"))) == (0 if want[0] else 1)
+
     def enumerate_again(*args):
         raise AssertionError("a cache hit enumerates nothing")
 
@@ -742,6 +786,11 @@ def test_cache_hit_serves_every_format(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "enumerate_vectors", enumerate_again)
     for fmt in formats:
         assert run(capsys, *base, *fmt, "--cache-dir", str(tmp_path)) == cold[fmt[-1]]
+    for (batch, shape, cache, *argv), want in cases.items():
+        monkeypatch.setattr(cli, "_BATCH", batch)
+        assert run(capsys, *argv, "--cache-dir", str(full[shape])) == want
+        if not want[0]:
+            assert run(capsys, *argv, "--cache-dir", str(cache)) == want
 
 
 @pytest.mark.parametrize("command", [["check", "--system", "C0"], ["classify"]],
