@@ -108,7 +108,12 @@ def system_content_key(sys: AxiomSystem) -> str:
 def load_axioms(path) -> AxiomSystem:
     """Read one equation per line; '#' comments and blank lines are skipped."""
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
+    data = path.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:  # named by the line that holds the first bad byte
+        lineno = len((data[:exc.start].decode("utf-8") + ".").splitlines())
+        raise AxiomFileError(path, lineno, f"not UTF-8 text: {exc}") from None
     eqs = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()

@@ -13,21 +13,21 @@ order, row-major, then constants), so the emitted stream is in lexicographic
 order of the serialized (tables, constants) bundle.  The search core yields
 entry vectors (cells, then constants); an algebra is built only for a caller
 that asks for one.  Its set-up, the plan (``_plan``), depends only on the
-system, size and table order, and is built once and shared by the searches
-of that layout.  Each search (``_vectors``) fills a vector of its own, the
-slots and then the carrier's values, which the plan's entries index.  The
-fill order fixes the last slot each check reads, and the check is tested
-when that slot is written.  A ground instance of an axiom whose sides have
-depth <= 1 is a pair under its later slot; a slot's first pair that names no
-constant forces it, a run of forced slots is written in one step from the
-free cells and values its pairs reach, and a failed pair that names a
-constant rules out one value of it.  Other axioms are compiled and tested
-whole.  A candidate's check joins a copy of one slot's test, so the search
-emits only the models that violate it and the plan is never changed.  An
-enumeration stops at the untested tail, the slots after the last tested one:
-every value of the tail's free slots gives a model, so the search hands the
-tail to one ``itertools.product`` in its own order, and a raw count adds up
-n**k per arrival there without building a vector.
+system, size and table order, and is built once and shared by the searches of
+that layout.  Each search (``_vectors``) fills a vector of its own, the slots
+and then the carrier's values, which the plan's entries index.  The fill
+order fixes the last slot each check reads, and the check is tested when that
+slot is written.  A ground instance of an axiom of depth <= 1 equates two
+entries, cells or values.  One naming no constant joins their classes, and a
+slot is forced from its class's root (its value, else its first slot), a run
+of them in one step.  One naming a constant is a pair on the later of its
+roots, and a failed pair rules out one value of the constant.  Other axioms
+are compiled and tested whole.  A candidate's check joins a copy of one
+slot's test, so the search emits only the models that violate it and the plan
+is never changed.  An enumeration stops at the untested tail, the slots after
+the last tested one: every value of the tail's free slots gives a model, so
+the search hands the tail to one ``itertools.product`` in its own order, and
+a raw count adds up n**k per arrival there without building a vector.
 
 The record line format is defined once, by the shape template of an
 algebra's size, tables and constant names: one ``%`` format writes the
@@ -297,15 +297,19 @@ def _plan(sys: AxiomSystem, n: int, ops: tuple) -> Optional[tuple]:
     names = tuple(sorted(sys.constants))
     base, slot_of = _layout(n, ops, names)
     total = len(ops) * n2 + len(names)
-    forced = [None] * total  # each slot's first pair that names no constant
-    pairs = {}  # each slot's other pairs, as (entry, keep, bits)
-    later = []  # (slot, pair) of each other pair, until forced is complete
+    roots = list(range(total + n))  # classes of equal entries: the slots, then the values
+    pairs = {}  # each free slot's pairs, as (entry, keep, bits)
+    conditional = []  # (entry, entry, constant, its value) of each instance naming a constant
     checks = {}  # (compiled check, whether it must hold) under the last slot it reads
     unsat, at_start = False, -1  # at_start: the constants' live values before any slot is written
 
-    def side(t, env):  # (its cell, or -1 for a variable; the entry it reads)
-        cell = -1 if isinstance(t, Var) else base[t.op] + env[t.left.name] * n + env[t.right.name]
-        return cell, total + env[t.name] if cell < 0 else cell
+    def find(e):  # the root of e's class, halving the path to it
+        while roots[e] != e:
+            roots[e] = e = roots[roots[e]]
+        return e
+
+    def first(e):  # a class's root comes first: its value if it has one, else its first slot
+        return e < total, e
 
     def last_read(used, free):  # the last slot of the tables used and the constants in free
         named = slot_of.keys() & free
@@ -331,25 +335,21 @@ def _plan(sys: AxiomSystem, n: int, ops: tuple) -> Optional[tuple]:
             continue
         for values in itertools.product(range(n), repeat=len(free)):
             env = dict(zip(free, values))
-            (low, entry), (high, other) = sorted((side(eq.lhs, env), side(eq.rhs, env)))
-            if low == high:  # two variables, or one cell
-                if entry != other:  # no model, or none where the constant has its value in env
-                    unsat = unsat or not named
-                    for x in named:
-                        at_start &= cond(entry, x, env[x])[1]
-            elif named:  # binding while the constant it names has its value in env
-                later.extend((high, cond(entry, x, env[x])) for x in named)
-            elif forced[high] is None:
-                forced[high] = entry
-            else:
-                later.append((high, (entry, 0, 0)))
-    roots = list(range(total + n))  # the free cell or the value each entry reaches
-    for s, entry in enumerate(forced):  # an entry forces only later slots
-        if entry is not None:
-            roots[s] = roots[entry]
-    for s, p in later:  # drop those on a forced slot that reach what the slot reaches
-        if forced[s] is None or roots[p[0]] != roots[s]:
-            pairs.setdefault(s, []).append(p)
+            a, b = (total + env[t.name] if isinstance(t, Var) else base[t.op]  # a value or a cell
+                    + env[t.left.name] * n + env[t.right.name] for t in (eq.lhs, eq.rhs))
+            if named:  # restated on the roots once every class is joined
+                conditional.extend((a, b, x, env[x]) for x in named)
+                continue
+            root, other = sorted((find(a), find(b)), key=first)  # join the two classes
+            unsat = unsat or root != other >= total  # two values: no model
+            roots[other] = root
+    roots = [find(e) for e in range(total + n)]  # a slot not its own root is forced from it
+    for a, b, x, v in conditional:  # equal roots: it holds
+        a, b = sorted((roots[a], roots[b]), key=first)
+        if a != b and b >= total:  # two values: v of x is ruled out before any slot is written
+            at_start &= cond(a, x, v)[1]
+        elif a != b:  # a pair on the later root, a free slot
+            pairs.setdefault(b, []).append(cond(a, x, v))
     tests, below = [None] * total, total  # (the slot tested before, pairs, checks) per slot
     for s in sorted({*pairs, *checks}):
         tests[s], below = (below, pairs.get(s, ()), checks.get(s, ())), s
@@ -361,9 +361,9 @@ def _plan(sys: AxiomSystem, n: int, ops: tuple) -> Optional[tuple]:
     def runs_ending_at(cut):  # each run ends at a tested slot, at ``cut`` and before a free one
         runs, start = [None] * total, 0  # (start, stop, blank, getter) at its first and last slot
         for s in range(total):
-            if forced[s] is None:
+            if roots[s] == s:
                 start = s + 1
-            elif s in (cut, total - 1) or forced[s + 1] is None or tests[s] is not None:
+            elif s in (cut, total - 1) or roots[s + 1] == s + 1 or tests[s] is not None:
                 got = roots[start:s + 1]
                 runs[start] = runs[s] = start, s + 1, [-1] * len(got), getter(got)
                 start = s + 1
@@ -371,7 +371,7 @@ def _plan(sys: AxiomSystem, n: int, ops: tuple) -> Optional[tuple]:
 
     # the tail's k free slots take the values of a product tuple that comes
     # before the search's vector, and every other entry reads what it reaches
-    at = {s: i for i, s in enumerate(t for t in range(tail, total) if forced[t] is None)}
+    at = {s: i for i, s in enumerate(t for t in range(tail, total) if roots[t] == t)}
     got = [at.get(r, len(at) + r) for r in roots[:total]]
     leaf = tail, len(at), getter(got) if tail < total else None
     if len(_plans) == _PLAN_LIMIT:

@@ -275,6 +275,17 @@ def test_juxtaposed_chain_past_depth_limit_is_config_error(capsys, command, syst
     assert "deeper than" in err and "position" in err
 
 
+@pytest.mark.parametrize("argv", [["enumerate", "--size", "2", "--count"], ["prove", "ab = ba"]],
+                         ids=["enumerate", "prove"])
+def test_axiom_file_that_is_not_utf8_is_config_error(tmp_path, capsys, argv):
+    # the error names the line that holds the first bad byte
+    f = tmp_path / "bad.ax"
+    f.write_bytes(b"ab = ba\n\xff ab = ba\n")
+    code, out, err = run(capsys, argv[0], "--system", str(f), *argv[1:])
+    assert (code, out) == (cli.EXIT_CONFIG, "")
+    assert err.startswith(f"error: {f}:2: not UTF-8 text:") and "Traceback" not in err
+
+
 def test_refute_empty_system_commutativity(capsys):
     code, out, _ = run(capsys, "refute", "--system", "none", "ab = ba",
                        "--max-size", "2")

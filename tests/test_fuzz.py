@@ -1,26 +1,28 @@
 """Seeded fuzzing of the search core against the brute-force oracles.
 
-The search tests each check when the last slot it reads is written: a
-ground instance of a depth <= 1 axiom as a pair on its later cell, and an
-axiom with a deeper side or a constant as a compiled check of the whole
-axiom.  Every built-in axiom has depth <= 1, so on its own the suite
-compiles axioms only for the constant-bearing neutral readings, whose
-constant is the last slot.  Here random small systems with depth-2 terms, a
-constant and random operation sets drive enumeration and the countermodel
-search through both kinds of check, and a free table after an axiom's own
-tables makes its compiled check run before the branch is complete.  Random
-constant-free depth-1 systems, whose every instance is static, drive it
-through forced cells, and random depth-1 systems over one or two constants
-through the constants' live values.  Every size-2 bundle and a seeded
-size-3 sample check the canonical form and the canonical test against a
-brute-force relabeling.  On all these systems the records ``enumerate``
-writes from the search's entry vectors are checked against the algebras
-``enumerate_models`` yields.  The random candidates, with instances of the
-systems' axioms that ``derive`` proves, check the proof-first order of
-``semantic_consequence`` against the search alone.  Random record files of
-several shapes check that ``check`` and ``classify``, which read each
-record as an entry vector, answer as ``find_violation`` and the oracle's
-scans do.
+The search tests each check when the last slot it reads is written.  The
+ground instances of a depth <= 1 axiom join the entries (cells and values)
+they equate into classes, and each cell is written from its class's root;
+an instance that names a constant is a pair on the later of its two roots,
+and an axiom with a deeper side or two constants is a compiled check of the
+whole axiom.  Every built-in axiom has depth <= 1 and names at most one
+constant, so the built-ins compile no axiom.  Here random small systems
+with depth-2 terms, a constant and random operation sets drive enumeration
+and the countermodel search through both kinds of check, and a free table
+after an axiom's own tables makes its compiled check run before the branch
+is complete.  Random constant-free depth-1 systems, whose every instance is
+static, and two systems whose tables are each one class drive it through
+classes of equal cells, and random depth-1 systems over one or two
+constants through the constants' live values.  Every size-2 bundle and a
+seeded size-3 sample check the canonical form and the canonical test
+against a brute-force relabeling.  On all these systems the records
+``enumerate`` writes from the search's entry vectors are checked against
+the algebras ``enumerate_models`` yields.  The random candidates, with
+instances of the systems' axioms that ``derive`` proves, check the
+proof-first order of ``semantic_consequence`` against the search alone.
+Random record files of several shapes check that ``check`` and
+``classify``, which read each record as an entry vector, answer as
+``find_violation`` and the oracle's scans do.
 """
 
 import itertools
@@ -51,6 +53,7 @@ from eqbench.terms import (
     OP_ORDER,
     Var,
     operations_of_equation,
+    parse_equation,
     term_depth,
     substitute,
     variables_of,
@@ -265,9 +268,9 @@ def test_find_violation_returns_the_first_failing_assignment():
 
 def _random_static_system(rng, i):
     """A constant-free system of depth <= 1 axioms: each ground instance is
-    static, so each one forces the later of its cells or prunes it.  The
-    first axiom has a variable side (``ab = a``-like), whose instances force
-    a cell to a fixed value."""
+    static, so each one joins the classes of its two entries.  The first
+    axiom has a variable side (``ab = a``-like), whose instances put a cell
+    in the class of a value."""
     ops = rng.sample(OP_ORDER, rng.choice((1, 2, 3)))
 
     def app(names):
@@ -288,9 +291,16 @@ def _static_systems():
     return [_random_static_system(rng, i) for i in range(40)]
 
 
+def _all_equal_systems():
+    """The rdiv table whose cells must all be equal, alone and with prod and
+    ldiv tables that copy their left argument: one class of cells per table."""
+    axioms = [parse_equation(t) for t in ("a/b = a/a", "a/a = b/b", "ab = a", "a:b = a")]
+    return [make_system("all_equal", axioms[:2]), make_system("all_equal_copies", axioms)]
+
+
 def test_forced_cells_match_oracles_on_random_static_systems():
     sizes_3 = 0
-    for sys_ in _static_systems():
+    for sys_ in _static_systems() + _all_equal_systems():
         ops = system_ops(sys_)
         for n in (1, 2, 3) if len(ops) == 1 else (1, 2):
             got = [record_line(m) for m in enumerate_models(sys_, n)]

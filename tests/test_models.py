@@ -420,11 +420,27 @@ def test_an_enumeration_tail_streams_as_the_walk_slot_by_slot():
             (False, True, True)} <= tails
 
 
+#: a table whose cells must all be equal: its one class of cells has a model per value
+ALL_EQUAL = make_system("all_equal", [parse_equation(t) for t in ("a/b = a/a", "a/a = b/b")])
+
+
+def _system(name):
+    """The built-in ``name``, the merge of the built-ins it joins with '+', or ALL_EQUAL."""
+    if name == ALL_EQUAL.name:
+        return ALL_EQUAL
+    return merge([builtin_system(part) for part in name.split("+")])
+
+
+# a pair that names the constant sits on the prod cell whose class holds the
+# ldiv or rdiv cell it was stated on, so C0+Mldiv_neutral and C0+Mrdiv_neutral
+# prune as C0+Mx_neutral does
 @pytest.mark.parametrize("name, n, total", [("C0", 3, 1_092_402), ("C1", 2, 1_284),
-                                            ("G1", 3, 1_008)])
+                                            ("G1", 3, 1_008), ("C0+Mldiv_neutral", 3, 15_360),
+                                            ("C0+Mrdiv_neutral", 3, 15_360),
+                                            ("all_equal", 6, 1_260)])
 def test_a_capped_enumeration_walks_every_slot(name, n, total):
     # a node cap keeps the walk slot by slot, so its count does not change
-    sys_ = builtin_system(name)
+    sys_ = _system(name)
     ops = tuple(op for op in OP_ORDER if op in system_ops(sys_))
     with pytest.raises(ResourceLimitError, match="enumeration exceeded"):
         list(_vectors(sys_, n, ops, None, total - 1))
