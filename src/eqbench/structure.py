@@ -2,8 +2,9 @@
 associativity, neutral elements, groups, latin squares, and whether the
 three operations of a model collapse into one (the coincidence property).
 
-Every check is an exhaustive scan; every False verdict carries the
-lexicographically first failing tuple as a witness.
+Each check is a scan in lexicographic order that stops at its first
+failing tuple; every False verdict carries that tuple, the
+lexicographically first, as its witness.
 """
 
 from __future__ import annotations
@@ -105,7 +106,7 @@ class StructureReport(NamedTuple):
 
 def classify_op(alg: FiniteAlgebra, op: Op) -> OpReport:
     """The report of the table of ``op``."""
-    return _scan(tuple(chain.from_iterable(alg.table(op))))
+    return _op_report(*_witnesses(tuple(chain.from_iterable(alg.table(op)))))
 
 
 #: the most cells the tables a TableReports keeps may hold; every table of
@@ -114,8 +115,9 @@ _MEMO_CELLS = 9 * 3 ** 9
 
 
 class TableReports(dict):
-    """A table's cells, row-major, -> its report, scanned on first lookup,
-    equal reports shared; all are dropped when keeping one more table would
+    """A table's cells, row-major, -> its report, scanned on first lookup;
+    one report is built per distinct ``_witnesses`` and shared by every
+    table that has them.  All are dropped when keeping one more table would
     pass _MEMO_CELLS cells, and a table larger than that is kept alone.
 
     ``answer`` keeps what a caller makes of each classification under the
@@ -125,7 +127,7 @@ class TableReports(dict):
 
     def __init__(self):
         super().__init__()
-        self.interned = {}
+        self.interned = {}  # witnesses -> their report
         self.answers = {}
         self.held = 0  # cells
 
@@ -136,8 +138,11 @@ class TableReports(dict):
             self.interned.clear()
             self.answers.clear()
             self.held = len(cells)
-        report = _scan(cells)
-        self[cells] = report = self.interned.setdefault(report, report)
+        facts = _witnesses(cells)
+        report = self.interned.get(facts)
+        if report is None:
+            report = self.interned[facts] = _op_report(*facts)
+        self[cells] = report
         return report
 
     def answer(self, n: int, ops: tuple, cells, render):
@@ -152,50 +157,90 @@ class TableReports(dict):
 
     def _classified(self, n: int, ops: tuple, cells) -> tuple:
         """(the reports of the tables ``ops``, in that order, coincidence)."""
-        n2 = n * n
-        found = [self[cells[i:i + n2]] for i in range(0, len(ops) * n2, n2)]
+        found = [self[table] for table in _runs(n * n, len(ops))(cells)]
         return found, _coincide(n, cells) if len(ops) == len(OP_ORDER) else (None, None)
+
+
+@lru_cache(maxsize=None)
+def _runs(width: int, count: int) -> itemgetter:
+    """A getter of the first ``count`` runs of ``width`` items of a tuple,
+    as a tuple of tuples (a table's rows, an entry vector's tables)."""
+    if count < 2:  # itemgetter needs an item, and returns one item alone, not in a tuple
+        return lambda cells: (cells[:width],) * count
+    return itemgetter(*[slice(i, i + width) for i in range(0, count * width, width)])
 
 
 @lru_cache(maxsize=None)
 def _lines(n: int) -> tuple:
     """(rows, columns, whether a line is a permutation of the carrier), the
     first two each from a table's cells, row-major, of size ``n``."""
-    if n == 1:  # itemgetter of one item returns that item, not a tuple
-        rows = cols = lambda cells: (cells[:1],)
-    else:
-        rows = itemgetter(*[slice(r * n, r * n + n) for r in range(n)])
-        cols = itemgetter(*[slice(c, n * n, n) for c in range(n)])
+    rows = _runs(n, n)
+    cols = rows if n == 1 else itemgetter(*[slice(c, n * n, n) for c in range(n)])
     if n <= 6:  # at most 720 permutations
         return rows, cols, set(permutations(range(n))).__contains__
     return rows, cols, lambda line: set(line) == set(range(n))
 
 
-def _scan(cells: tuple) -> OpReport:
-    """Every property of one table, each scanned once over the table and its
-    transpose.  Witnesses are the lexicographically first failing tuples;
-    the group verdicts fail for the first missing requirement in the order
-    associativity, identity, inverses (then commutativity)."""
+def _witnesses(cells: tuple) -> tuple:
+    """The facts that decide the report of one table, its cells row-major:
+    the first (a, b) with ab != ba, the first (a, b, c) with (ab)c != a(bc),
+    the first line (each row, then each column) that is not a permutation of
+    the carrier, the identity elements, and the first element without an
+    inverse, looked for only in an associative table with an identity.  Each
+    scan runs in lexicographic order and stops at its first failure; a fact
+    that holds is None (no identity: ``()``)."""
     n = isqrt(len(cells))
     rows, columns, is_perm = _lines(n)
     t, cols = rows(cells), columns(cells)
     rng = range(n)
-    comm_w = None if t == cols else next(
-        (a, b) for a in rng if t[a] != cols[a] for b in rng if t[a][b] != cols[a][b])
-    assoc_w = next(((a, b, c) for a in rng for b in rng
-                    if t[t[a][b]] != tuple(map(t[a].__getitem__, t[b]))
-                    for c in rng if t[t[a][b]][c] != t[a][t[b][c]]), None)
-    latin = list(map(is_perm, t + cols))  # each row, then each column
-    latin_w = None
-    if not all(latin):
-        kind, i = divmod(latin.index(False), n)
+    comm_w = None if t == cols else _first_noncommuting(t, cols, rng)
+    assoc_w = _first_nonassociative(t, rng)
+    latin_w = _first_nonpermutation(t + cols, is_perm)
+    if latin_w is not None:
+        kind, i = divmod(latin_w, n)
         latin_w = ("row", "col")[kind], i
     carrier = tuple(rng)
     ids = tuple(e for e in rng if t[e] == cols[e] == carrier) if carrier in t else ()
+    no_inverse = None if not ids or assoc_w is not None else next(
+        (a for a in rng if not any(x == ids[0] == y for x, y in zip(t[a], cols[a]))), None)
+    return comm_w, assoc_w, latin_w, ids, no_inverse
+
+
+def _first_noncommuting(t: tuple, cols: tuple, rng: range) -> Optional[tuple]:
+    for a in rng:
+        row, col = t[a], cols[a]
+        if row != col:
+            for b in rng:
+                if row[b] != col[b]:
+                    return a, b
+    return None
+
+
+def _first_nonassociative(t: tuple, rng: range) -> Optional[tuple]:
+    for a in rng:
+        row = t[a]
+        for b in rng:
+            left, right = t[row[b]], t[b]  # (ab)c and bc, over c
+            for c in rng:
+                if left[c] != row[right[c]]:
+                    return a, b, c
+    return None
+
+
+def _first_nonpermutation(lines: tuple, is_perm) -> Optional[int]:
+    for i, line in enumerate(lines):
+        if not is_perm(line):
+            return i
+    return None
+
+
+def _op_report(comm_w, assoc_w, latin_w, ids, no_inverse) -> OpReport:
+    """The report a table's ``_witnesses`` decide.  The group verdicts fail
+    for the first missing requirement in the order associativity, identity,
+    inverses (then commutativity)."""
     group_r = (f"not associative at {assoc_w}" if assoc_w is not None
                else "no identity element" if not ids
-               else next((f"no inverse for {a}" for a in rng
-                          if not any(x == ids[0] == y for x, y in zip(t[a], cols[a]))), None))
+               else f"no inverse for {no_inverse}" if no_inverse is not None else None)
     abelian_r = group_r or (comm_w and f"not commutative at {comm_w}")
     return OpReport(comm_w is None, comm_w, assoc_w is None, assoc_w, latin_w is None, latin_w,
                     ids, group_r is None, group_r, abelian_r is None, abelian_r)

@@ -126,10 +126,11 @@ def _oracle_counterexample(sys_, cand, n):
 
 
 def _compiled_axioms(sys_):
-    """The axioms the search checks whole: a side deeper than 1, or a constant."""
+    """The axioms the search checks whole, by ``models._plan``'s rule: a side
+    deeper than 1, or two constants (a one-constant instance is a pair)."""
     return [eq for eq in sys_.equations
             if term_depth(eq.lhs) > 1 or term_depth(eq.rhs) > 1
-            or sys_.constants & set(variables_of_equation(eq))]
+            or len(sys_.constants & set(variables_of_equation(eq))) > 1]
 
 
 def _checked_before_the_last_slot(sys_, table_ops):

@@ -6,6 +6,7 @@ import pytest
 from eqbench.axioms import builtin_system, merge
 from eqbench.models import MissingTableError, enumerate_models, make_algebra
 from eqbench.structure import (
+    TableReports,
     classify_op,
     classify_structure,
     identity_elements,
@@ -91,15 +92,13 @@ def test_all_flags_vs_independent_scanner():
 
 
 def test_classify_op_matches_reference_scans():
-    # every size-2 table, then a seeded sample of size-3 tables, then of
-    # sizes 4-7 (on both sides of the latin test's permutation set, n <= 6):
-    # random tables, cyclic groups, relabeled, with their rows permuted, and
-    # the symmetric group S3; each under one of the three operations
+    # every table of size 2 and of size 3, then a seeded sample of sizes 4-7
+    # (on both sides of the latin test's permutation set, n <= 6): random
+    # tables, cyclic groups, relabeled, with their rows permuted; the
+    # symmetric group S3; each under one of the three operations
     rng = random.Random(2013)
-    tables = [[list(flat[:2]), list(flat[2:])]
-              for flat in itertools.product(range(2), repeat=4)]
-    tables += [[[rng.randrange(3) for _ in range(3)] for _ in range(3)]
-               for _ in range(2000)]
+    tables = [[list(flat[i:i + n]) for i in range(0, n * n, n)]
+              for n in (2, 3) for flat in itertools.product(range(n), repeat=n * n)]
     s3 = list(itertools.permutations(range(3)))
     tables.append([[s3.index(tuple(p[q[i]] for i in range(3))) for q in s3] for p in s3])
     for n in range(4, 8):
@@ -115,15 +114,27 @@ def test_classify_op_matches_reference_scans():
         op = OP_ORDER[i % 3]
         a = make_algebra(n, {op: table})
         got = classify_op(a, op)
-        assert got == reference_report(table, n), table
+        assert got._asdict() == reference_report(table, n)._asdict(), table
         want = scan_flags(table, n)
         assert {k: getattr(got, k) for k in want if k != "identity_elements"} == \
             {k: v for k, v in want.items() if k != "identity_elements"}, table
         assert list(got.identity_elements) == want["identity_elements"], table
         verdicts.add((got.group_reason or "group")[:9])
-    # the sample reaches every reason a table can fail to be a group (groups
+    # the tables reach every reason a table can fail to be a group (groups
     # of order <= 3 are abelian, so "not commutative" cannot occur)
     assert verdicts == {"group", "not assoc", "no identi", "no invers"}
+
+
+def test_table_reports_hold_one_report_per_distinct_report():
+    # over every table of size 3, TableReports answers the oracle's report
+    # and holds one report object per distinct report: 205 of them
+    tables = list(itertools.product(range(3), repeat=9))
+    want = [reference_report([cells[i:i + 3] for i in (0, 3, 6)], 3) for cells in tables]
+    reports = TableReports()
+    got = [reports[cells] for cells in tables]
+    assert got == want
+    assert len(reports) == len(tables)
+    assert len(set(map(id, got))) == len(set(want)) == 205
 
 
 def test_ops_coincide():
