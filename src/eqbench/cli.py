@@ -50,6 +50,7 @@ from .models import (
     from_record,
     models_template,
     past_max_results,
+    record_blocks,
     record_line,
     template_of,
     to_record,
@@ -310,7 +311,12 @@ def cmd_enumerate(args) -> int:
         serve(body)
     else:
         with _write_cache(path, serve) if path else nullcontext(serve) as write:
-            _write_lines(enumerate_vectors(sys_, args.size, opts), template.write, write)
+            blocks = record_blocks(sys_, args.size, opts, _BATCH)
+            if blocks is None:
+                _write_lines(enumerate_vectors(sys_, args.size, opts), template.write, write)
+            else:
+                for lines in blocks:
+                    write(lines)
     if args.count:
         print(sum(counts))
     return EXIT_OK

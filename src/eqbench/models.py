@@ -26,8 +26,10 @@ are compiled and tested whole.  A candidate's check joins a copy of one
 slot's test, so the search emits only the models that violate it and the plan
 is never changed.  An enumeration stops at the untested tail, the slots after
 the last tested one: every value of the tail's free slots gives a model, so
-the search hands the tail to one ``itertools.product`` in its own order, and
-a raw count adds up n**k per arrival there without building a vector.
+the search hands the tail to one ``itertools.product`` in its own order, a
+raw count adds up n**k per arrival there without building a vector, and raw
+record lines are written a block at a time (``ShapeTemplate.write_block``),
+each free slot's digits as one column, without one either.
 
 The record line format is defined once, by the shape template of an
 algebra's size, tables and constant names: one ``%`` format writes the
@@ -372,8 +374,8 @@ def _plan(sys: AxiomSystem, n: int, ops: tuple) -> Optional[tuple]:
     # the tail's k free slots take the values of a product tuple that comes
     # before the search's vector, and every other entry reads what it reaches
     at = {s: i for i, s in enumerate(t for t in range(tail, total) if roots[t] == t)}
-    got = [at.get(r, len(at) + r) for r in roots[:total]]
-    leaf = tail, len(at), getter(got) if tail < total else None
+    got = tuple(at.get(r, len(at) + r) for r in roots[:total])
+    leaf = tail, len(at), got, getter(got) if tail < total else None
     if len(_plans) == _PLAN_LIMIT:
         del _plans[next(iter(_plans))]
     _plans[key] = sys, None if unsat else (  # the runs, then those split at each table's end
@@ -388,28 +390,42 @@ def _vectors(sys: AxiomSystem, n: int, ops: tuple, cand: Optional[Equation] = No
     each row-major, then the constants' values) of the models of ``sys`` of
     size ``n`` over the tables ``ops``, in fill order; with ``cand``, of those
     on which it fails; with ``max_nodes``, ResourceLimitError once more nodes
-    are counted.  The vectors of ``_blocks``, one block after another."""
-    return chain.from_iterable(_blocks(sys, n, ops, cand, max_nodes))
+    are counted.  The models below each leaf of ``_blocks``: its slots, or,
+    where the leaf is the plan's untested tail with k free slots, the n**k
+    vectors that every value of those slots gives, in the product's order,
+    which is the walk's order."""
+    def blocks():  # a generator, so that a missing table raises only once it is read
+        leaves = _blocks(sys, n, ops, cand, max_nodes)
+        plan = _plan(sys, n, ops) if cand is None and max_nodes is None else None
+        if plan is None or plan[-1][3] is None:  # each leaf a model, its slots all written
+            for cells in leaves:
+                yield (tuple(cells[:-n]),)
+            return
+        _, k, _, get = plan[-1]
+        for cells in leaves:
+            yield map(get, map(add, product(range(n), repeat=k), repeat(tuple(cells))))
+
+    return chain.from_iterable(blocks())
 
 
 def _blocks(sys: AxiomSystem, n: int, ops: tuple, cand: Optional[Equation] = None,
-            max_nodes: Optional[int] = None) -> Iterator[Iterator[tuple]]:
-    """The search behind ``_vectors``: at each leaf it reaches, the block of
-    entry vectors below it, made lazily.  A search runs its layout's shared
-    ``_plan`` on a vector and masks of its own, and ``cand``'s check joins a
-    copy of one slot's test.  With ``cand`` or ``max_nodes`` it walks slot by
-    slot, and each leaf is a model, a block of one.  An enumeration (neither)
-    stops at the plan's untested tail, the slots after the last one with a
-    test: no check reads them, so every value of its k free slots (its forced
-    ones copy the cells they reach) gives a model, and the leaf's block is the
-    n**k of them in the product's order, which is the walk's order."""
+            max_nodes: Optional[int] = None) -> Iterator[list]:
+    """The search behind ``_vectors``: at each leaf it reaches, its vector
+    (the slots, then the carrier's values), live, so it is read before the
+    next leaf.  A search runs its layout's shared ``_plan`` on a vector and
+    masks of its own, and ``cand``'s check joins a copy of one slot's test.
+    With ``cand`` or ``max_nodes`` it walks slot by slot, and each leaf is a
+    model.  An enumeration (neither) stops at the plan's untested tail, the
+    slots after the last one with a test: no check reads them, so every value
+    of its free slots (its forced ones copy the entries they reach) gives a
+    model, and the leaf stands for the block of them."""
     plan = _plan(sys, n, ops)
     if plan is None:
         return
-    total, names, last_read, tests, at_start, runs, split, (tail, k, get) = plan
+    total, names, last_read, tests, at_start, runs, split, (tail, *_) = plan
     cells = [-1] * total + list(range(n))  # the slots, then the values entries name
     if cand is not None or max_nodes is not None:  # slot by slot to the last
-        tail, get = total, None
+        tail = total
     if cand is not None:  # its check runs first in a copy of its last slot's test
         check = compile_check(cand, n, ops, names)
         cut = last_read(operations_of_equation(cand), variables_of_equation(cand))
@@ -421,11 +437,8 @@ def _blocks(sys: AxiomSystem, n: int, ops: tuple, cand: Optional[Equation] = Non
                 next((s for s in range(cut - 1, -1, -1) if tests[s]), total), (), ())
             tests[cut] = below, tied, ((check, False), *checked)
 
-    def block():  # every value of the tail's free slots, after the search's vector
-        return map(get, map(add, product(range(n), repeat=k), repeat(tuple(cells))))
-
     if not tail:  # no slot, or none tested
-        yield block() if total else ((),)
+        yield cells
         return
     live = [-1] * total + [at_start]  # the mask each tested slot leaves; at total, at_start
     limit = float("inf") if max_nodes is None else max_nodes
@@ -479,10 +492,8 @@ def _blocks(sys: AxiomSystem, n: int, ops: tuple, cand: Optional[Equation] = Non
                 continue
         if slot < last:
             slot += 1
-        elif get is None:
-            yield (tuple(cells[:total]),)
-        else:  # the tail, then on from the slot before it as if the tail were used up
-            yield block()
+        else:  # a leaf, then on from the slot before it as if any tail were used up
+            yield cells
     what = "enumeration" if cand is None else f"countermodel search for {format_equation(cand)!r}"
     raise ResourceLimitError(f"{what} exceeded {max_nodes} nodes at size {n}")
 
@@ -529,6 +540,35 @@ def _capped(vectors: Iterator[tuple], cap: int) -> Iterator[tuple]:
 def past_max_results(cap: int) -> NoReturn:
     """Raise the error of an enumeration that has more than ``cap`` models."""
     raise ResourceLimitError(f"more than max_results={cap} models exist")
+
+
+def record_blocks(sys: AxiomSystem, n: int, opts: Optional[EnumOptions], batch: int
+                  ) -> Optional[Iterator[str]]:
+    """The record lines of the models ``enumerate_vectors`` yields, at most
+    ``batch`` at a time, written block by block by ``ShapeTemplate.write_block``
+    with no entry vector per model, and raising as it does; None where its
+    vectors are written instead: up to isomorphism, for a shape without
+    ``digits``, and where each block is one model (its tail has no free slot)."""
+    opts = opts or EnumOptions()
+    ops = _enumerated_ops(sys, n, opts)
+    template = models_template(sys, n, opts)
+    plan = _plan(sys, n, ops)
+    if opts.up_to_iso or not template.digits or plan is None or not plan[-1][1]:
+        return None
+    _, k, got, _ = plan[-1]
+    return _written_blocks(template, _blocks(sys, n, ops), got, k, opts.max_results, batch)
+
+
+def _written_blocks(template, leaves, got, k, cap, batch) -> Iterator[str]:
+    """``template.write_block`` of each leaf vector in turn, the lines past
+    ``cap`` cut off before ResourceLimitError is raised."""
+    each = template.size ** k
+    left = float("inf") if cap is None else cap
+    for cells in leaves:
+        yield from template.write_block(cells, got, k, min(each, left), batch)
+        if each > left:
+            past_max_results(cap)
+        left -= each
 
 
 def models_template(sys: AxiomSystem, n: int, opts: Optional[EnumOptions] = None
@@ -736,6 +776,42 @@ class ShapeTemplate(namedtuple("ShapeTemplate", "size ops names")):
             out[at::step] = digits[i::k]
         return out.decode()
 
+    def write_block(self, vector, got, k: int, rows: int, batch: int) -> Iterator[str]:
+        """The record lines of the first ``rows`` models of a search block,
+        for a shape with ``digits``: entry i of the j-th holds slot got[i] of
+        the j-th product tuple of k values (the last counted up fastest) if
+        got[i] < k, else vector[got[i] - k].  A line with the block's fixed
+        entries is repeated for n**m models at a time, the most up to
+        ``batch``, and each free slot's column is one strided slice
+        assignment: the last m slots repeat the same digits in every chunk,
+        and each other one is rewritten only where its value changes."""
+        n = self.size
+        line, offsets = self._zeros
+        line, step, m = bytearray(line), len(line), k
+        while n ** m > batch:
+            m -= 1
+        size = n ** m
+        free = []  # (offset, models per value) of each entry a free slot gives
+        for at, g in zip(offsets, got):
+            if g < k:
+                free.append((at, n ** (k - 1 - g)))
+            else:
+                line[at] += vector[g - k]
+        out = line * size
+        changing = []
+        for at, run in free:
+            if run < size:
+                out[at::step] = _digit_runs(n, run, size)
+            else:
+                changing.append((at, run))
+        runs = _digit_runs(n, size, n * size)
+        for start in range(0, rows, size):
+            for at, run in changing:
+                if not start % run:
+                    v = start // run % n * size
+                    out[at::step] = runs[v:v + size]
+            yield (out if rows - start >= size else out[:(rows - start) * step]).decode()
+
     @cached_property
     def algebra(self) -> Callable[[tuple], FiniteAlgebra]:
         """The algebra of an entry vector."""
@@ -754,6 +830,13 @@ class ShapeTemplate(namedtuple("ShapeTemplate", "size ops names")):
                                  tuple(zip(names, c[start:])))
 
         return algebra
+
+
+@lru_cache(maxsize=None)
+def _digit_runs(n: int, run: int, rows: int) -> bytes:
+    """The digits 0 to n-1, each ``run`` times, over and over for ``rows``
+    bytes, a multiple of n * run: a free slot's column in a block."""
+    return b"".join(b"%d" % v * run for v in range(n)) * (rows // (n * run))
 
 
 @lru_cache(maxsize=256)

@@ -185,10 +185,9 @@ def _witnesses(cells: tuple) -> tuple:
     """The facts that decide the report of one table, its cells row-major:
     the first (a, b) with ab != ba, the first (a, b, c) with (ab)c != a(bc),
     the first line (each row, then each column) that is not a permutation of
-    the carrier, the identity elements, and the first element without an
-    inverse, looked for only in an associative table with an identity.  Each
-    scan runs in lexicographic order and stops at its first failure; a fact
-    that holds is None (no identity: ``()``)."""
+    the carrier, and the identity elements.  Each scan runs in lexicographic
+    order and stops at its first failure; a fact that holds is None (no
+    identity: ``()``)."""
     n = isqrt(len(cells))
     rows, columns, is_perm = _lines(n)
     t, cols = rows(cells), columns(cells)
@@ -201,9 +200,7 @@ def _witnesses(cells: tuple) -> tuple:
         latin_w = ("row", "col")[kind], i
     carrier = tuple(rng)
     ids = tuple(e for e in rng if t[e] == cols[e] == carrier) if carrier in t else ()
-    no_inverse = None if not ids or assoc_w is not None else next(
-        (a for a in rng if not any(x == ids[0] == y for x, y in zip(t[a], cols[a]))), None)
-    return comm_w, assoc_w, latin_w, ids, no_inverse
+    return comm_w, assoc_w, latin_w, ids
 
 
 def _first_noncommuting(t: tuple, cols: tuple, rng: range) -> Optional[tuple]:
@@ -234,13 +231,16 @@ def _first_nonpermutation(lines: tuple, is_perm) -> Optional[int]:
     return None
 
 
-def _op_report(comm_w, assoc_w, latin_w, ids, no_inverse) -> OpReport:
+def _op_report(comm_w, assoc_w, latin_w, ids) -> OpReport:
     """The report a table's ``_witnesses`` decide.  The group verdicts fail
     for the first missing requirement in the order associativity, identity,
-    inverses (then commutativity)."""
+    inverses (then commutativity).  In a finite associative table with an
+    identity an element has an inverse exactly when its row is a
+    permutation, so the first element without one is the row ``latin_w``
+    names, and every column is a permutation where every row is."""
     group_r = (f"not associative at {assoc_w}" if assoc_w is not None
                else "no identity element" if not ids
-               else f"no inverse for {no_inverse}" if no_inverse is not None else None)
+               else f"no inverse for {latin_w[1]}" if latin_w is not None else None)
     abelian_r = group_r or (comm_w and f"not commutative at {comm_w}")
     return OpReport(comm_w is None, comm_w, assoc_w is None, assoc_w, latin_w is None, latin_w,
                     ids, group_r is None, group_r, abelian_r is None, abelian_r)

@@ -795,6 +795,7 @@ def test_cache_hit_serves_every_format(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "enumerate_models", enumerate_again)
     monkeypatch.setattr(cli, "enumerate_vectors", enumerate_again)
+    monkeypatch.setattr(cli, "record_blocks", enumerate_again)
     for fmt in formats:
         assert run(capsys, *base, *fmt, "--cache-dir", str(tmp_path)) == cold[fmt[-1]]
     for (batch, shape, cache, *argv), want in cases.items():

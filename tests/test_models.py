@@ -718,6 +718,32 @@ def test_record_codec_matches_json(tmp_path):
         assert "lines" not in vars(template)
 
 
+def test_block_writer_matches_write_of_the_materialized_vectors():
+    # random blocks of the prod table, with and without a constant: each
+    # entry reads a free slot or the search's vector (its slots, then the
+    # carrier's values); the block's vectors are made as _vectors makes them
+    rng = random.Random(1890)
+    for n, k, names in itertools.product(range(1, 11), range(5), ((), ("e",))):
+        template = models.ShapeTemplate(n, (Op.PROD,), names)
+        vector = [rng.randrange(n) for _ in range(n * n + len(names))] + list(range(n))
+        got = [rng.randrange(k + len(vector)) for _ in range(n * n + len(names))]
+        if k > len(got):  # a free slot is an entry, so no shape has more
+            continue
+        got[:k] = rng.sample(range(k), k)  # every free slot read somewhere
+        vectors = [tuple(map((p + tuple(vector)).__getitem__, got))
+                   for p in itertools.product(range(n), repeat=k)]
+        for batch in (512, 7, 2, 1):
+            chunk = max(n ** m for m in range(k + 1) if n ** m <= batch)
+            for rows in {1, chunk - 1, chunk, chunk + 1, n ** k}:
+                if not 0 < rows <= n ** k:
+                    continue
+                lines = list(template.write_block(vector, got, k, rows, batch))
+                assert "".join(lines) == template.write(vectors[:rows]), (n, k, names, rows)
+                assert [s.count("\n") for s in lines] == [chunk] * (rows // chunk) + (
+                    [rows % chunk] if rows % chunk else [])
+        assert list(template.write_block(vector, got, k, 0, 512)) == []
+
+
 def test_numeral_pattern_matches_the_carrier_as_json_writes_it():
     for n in range(1, 150):
         pattern = re.compile(_numeral(n))

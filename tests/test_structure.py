@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -135,6 +136,22 @@ def test_table_reports_hold_one_report_per_distinct_report():
     assert got == want
     assert len(reports) == len(tables)
     assert len(set(map(id, got))) == len(set(want)) == 205
+
+
+def test_the_first_element_without_an_inverse_is_the_first_row_not_a_permutation():
+    # every table of size 4 whose identity is 0 (4**9 of them): wherever the
+    # inverse question arises, in the associative ones, the report, whose
+    # reason names the first row that is not a permutation, is the oracle's,
+    # which scans for an inverse of each element
+    reports = TableReports()
+    associative = Counter()
+    for free in itertools.product(range(4), repeat=9):
+        cells = (0, 1, 2, 3, 1, *free[:3], 2, *free[3:6], 3, *free[6:])
+        got = reports[cells]
+        if got.associative:
+            assert got == reference_report([cells[i:i + 4] for i in (0, 4, 8, 12)], 4), cells
+            associative[(got.group_reason or "group")[:9]] += 1
+    assert associative == {"group": 4, "no invers": 152}  # Z4 three ways, the Klein group
 
 
 def test_ops_coincide():
