@@ -28,8 +28,8 @@ is never changed.  An enumeration stops at the untested tail, the slots after
 the last tested one: every value of the tail's free slots gives a model, so
 the search hands the tail to one ``itertools.product`` in its own order, a
 raw count adds up n**k per arrival there without building a vector, and raw
-record lines are written a block at a time (``ShapeTemplate.write_block``),
-each free slot's digits as one column, without one either.
+record lines are written leaf by leaf (``ShapeTemplate.write_blocks``), each
+entry's digits as one column, without one either.
 
 The record line format is defined once, by the shape template of an
 algebra's size, tables and constant names: one ``%`` format writes the
@@ -45,7 +45,7 @@ import json
 import re
 from collections import namedtuple
 from functools import cached_property, lru_cache, partial
-from itertools import chain, product, repeat
+from itertools import chain, islice, product, repeat
 from operator import add, itemgetter, ne, sub
 from typing import Callable, Iterator, Mapping, NoReturn, Optional
 
@@ -545,30 +545,34 @@ def past_max_results(cap: int) -> NoReturn:
 def record_blocks(sys: AxiomSystem, n: int, opts: Optional[EnumOptions], batch: int
                   ) -> Optional[Iterator[str]]:
     """The record lines of the models ``enumerate_vectors`` yields, at most
-    ``batch`` at a time, written block by block by ``ShapeTemplate.write_block``
-    with no entry vector per model, and raising as it does; None where its
-    vectors are written instead: up to isomorphism, for a shape without
-    ``digits``, and where each block is one model (its tail has no free slot)."""
+    ``batch`` at a time, written leaf by leaf of the search by
+    ``ShapeTemplate.write_blocks`` with no entry vector per model, and
+    raising as it does; None where its vectors are written instead: up to
+    isomorphism, and for a shape without ``digits``."""
     opts = opts or EnumOptions()
     ops = _enumerated_ops(sys, n, opts)
     template = models_template(sys, n, opts)
-    plan = _plan(sys, n, ops)
-    if opts.up_to_iso or not template.digits or plan is None or not plan[-1][1]:
+    if opts.up_to_iso or not template.digits:
         return None
+    plan = _plan(sys, n, ops)
+    if plan is None:  # no model
+        return iter(())
     _, k, got, _ = plan[-1]
-    return _written_blocks(template, _blocks(sys, n, ops), got, k, opts.max_results, batch)
+    return _written_blocks(template.write_blocks(_blocks(sys, n, ops), got, k, batch),
+                           len(template._zeros[0]), opts.max_results)
 
 
-def _written_blocks(template, leaves, got, k, cap, batch) -> Iterator[str]:
-    """``template.write_block`` of each leaf vector in turn, the lines past
-    ``cap`` cut off before ResourceLimitError is raised."""
-    each = template.size ** k
-    left = float("inf") if cap is None else cap
-    for cells in leaves:
-        yield from template.write_block(cells, got, k, min(each, left), batch)
-        if each > left:
+def _written_blocks(chunks, step: int, cap: Optional[int]) -> Iterator[str]:
+    """Each chunk of lines ``step`` bytes long, decoded, the lines past ``cap``
+    cut off before ResourceLimitError is raised."""
+    left = float("inf") if cap is None else cap * step
+    for out in chunks:
+        if len(out) > left:
+            if left:
+                yield out[:left].decode()
             past_max_results(cap)
-        left -= each
+        left -= len(out)
+        yield out.decode()
 
 
 def models_template(sys: AxiomSystem, n: int, opts: Optional[EnumOptions] = None
@@ -776,41 +780,53 @@ class ShapeTemplate(namedtuple("ShapeTemplate", "size ops names")):
             out[at::step] = digits[i::k]
         return out.decode()
 
-    def write_block(self, vector, got, k: int, rows: int, batch: int) -> Iterator[str]:
-        """The record lines of the first ``rows`` models of a search block,
-        for a shape with ``digits``: entry i of the j-th holds slot got[i] of
-        the j-th product tuple of k values (the last counted up fastest) if
-        got[i] < k, else vector[got[i] - k].  A line with the block's fixed
-        entries is repeated for n**m models at a time, the most up to
-        ``batch``, and each free slot's column is one strided slice
-        assignment: the last m slots repeat the same digits in every chunk,
-        and each other one is rewritten only where its value changes."""
-        n = self.size
+    def write_blocks(self, leaves, got, k: int, batch: int) -> Iterator[bytearray]:
+        """The record lines, in bytes, of the models below each leaf vector of
+        a search (its slots, then the carrier's values), for a shape with
+        ``digits``, each chunk read before the next is made.  Entry i of the
+        j-th model below a leaf holds slot got[i] of the j-th product tuple
+        of k values (the last counted up fastest) if got[i] < k, else entry
+        got[i] - k of the leaf's vector.  A chunk has at most ``batch`` lines:
+        the first n**m models of one leaf after another, as many leaves as
+        fit, or of one leaf n**m models at a time.  Each fixed entry's column
+        is one strided slice assignment to the chunk's line per leaf, each
+        line is repeated n**m times, and each free slot's column is then one
+        assignment more: the last m slots repeat the same digits in every
+        chunk, and each other one is rewritten only where its value changes."""
+        n, total = self.size, len(got)
         line, offsets = self._zeros
-        line, step, m = bytearray(line), len(line), k
+        line, step, each, m = bytearray(line), len(line), n ** k, k
         while n ** m > batch:
             m -= 1
-        size = n ** m
-        free = []  # (offset, models per value) of each entry a free slot gives
+        size, group = n ** m, batch // each or 1  # a chunk's models per leaf, and its leaves
+        fixed, free = [], []  # (offset, slot) of each entry a slot fixes; (offset, run) of a free one
         for at, g in zip(offsets, got):
             if g < k:
                 free.append((at, n ** (k - 1 - g)))
-            else:
-                line[at] += vector[g - k]
-        out = line * size
-        changing = []
-        for at, run in free:
-            if run < size:
-                out[at::step] = _digit_runs(n, run, size)
-            else:
-                changing.append((at, run))
+            elif g - k < total:
+                fixed.append((at, g - k))
+            else:  # a value of the carrier
+                line[at] += g - k - total
+        top = max((r + 1 for _, r in fixed), default=0)  # the slots read, all written
+        pattern = [(at, _digit_runs(n, run, group * size)) for at, run in free if n * run <= size]
+        changing = [(at, run) for at, run in free if n * run > size]
         runs = _digit_runs(n, size, n * size)
-        for start in range(0, rows, size):
-            for at, run in changing:
-                if not start % run:
-                    v = start // run % n * size
-                    out[at::step] = runs[v:v + size]
-            yield (out if rows - start >= size else out[:(rows - start) * step]).decode()
+        leaves = map(itemgetter(slice(0, top)), leaves)
+        for cut in iter(lambda: list(islice(leaves, group)), []):
+            out = line * len(cut)
+            digits = bytes(chain.from_iterable(cut)).translate(_DIGITS)
+            for at, r in fixed:
+                out[at::step] = digits[r::top]
+            if size > 1:
+                out = bytearray().join(out[i:i + step] * size for i in range(0, len(out), step))
+            for at, column in pattern:
+                out[at::step] = column[:len(out) // step]
+            for start in range(0, each, size):
+                for at, run in changing:
+                    if not start % run:
+                        v = start // run % n * size
+                        out[at::step] = runs[v:v + size]
+                yield out
 
     @cached_property
     def algebra(self) -> Callable[[tuple], FiniteAlgebra]:

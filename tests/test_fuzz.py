@@ -18,8 +18,8 @@ seeded size-3 sample check the canonical form and the canonical test
 against a brute-force relabeling.  On all these systems the records
 ``enumerate`` writes are checked against the algebras ``enumerate_models``
 yields; the raw records of the built-ins, two merges and the random
-systems, which the block writer makes wherever a block has free slots,
-are checked so at every cap, cache state and batch size.  The random
+systems, which the block writer makes leaf by leaf, are checked so at
+every cap, cache state and batch size.  The random
 candidates, with instances of the systems' axioms that ``derive`` proves,
 check the proof-first order of ``semantic_consequence`` against the
 search alone.
@@ -31,6 +31,8 @@ Random record files of several shapes check that ``check`` and
 import itertools
 import json
 import random
+
+import pytest
 
 from eqbench import cli, models
 from eqbench.axioms import (BUILTIN_NAMES, builtin_system, empty_system, make_system, merge,
@@ -439,8 +441,8 @@ RAW_LIMIT = 20_000
 def _raw_record_cases():
     """(system, tables to instantiate, size): the 15 built-ins, C0+Mx_neutral
     and C1+Mldiv_neutral at sizes 1-3, and the random systems at sizes 1-2,
-    and at size 3 where the search leaves free slots in its tail (so the
-    block writer writes the lines) and finds its first model within 100,000
+    and at size 3 where the search leaves free slots in its tail (so each
+    leaf stands for many models) and finds its first model within 100,000
     nodes (the others take up to seconds a run)."""
     for name in (*BUILTIN_NAMES, "C0+Mx_neutral", "C1+Mldiv_neutral"):
         sys_ = merge([builtin_system(part) for part in name.split("+")])
@@ -459,54 +461,54 @@ def _raw_record_cases():
             yield sys_, table_ops, 3
 
 
-def test_raw_records_match_record_line_over_enumerate_models(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("batch", [512, pytest.param(2, marks=pytest.mark.slow)])
+def test_raw_records_match_record_line_over_enumerate_models(batch, tmp_path, capsys,
+                                                             monkeypatch):
     # raw records, uncapped and with the cap at 1, at the end of a chunk of
-    # lines (the block writer's n**m, or a batch of vectors), at the count
+    # lines (the block writer's leaves per chunk times n**m), at the count
     # less one, at it and past it (past RAW_LIMIT models: at the chunk's end
     # and one past it), without a cache and on a cold one, in batches of 512
-    # lines and of two, are the lines record_line makes of the algebras
-    # enumerate_models yields, cut at the cap; a run the cap stops exits 3
-    # and caches nothing
+    # lines (the CLI's, 2 s) and of two (slow: 4 s), are
+    # the lines record_line makes of the algebras enumerate_models yields,
+    # cut at the cap; a run the cap stops exits 3 and caches nothing
+    assert cli._BATCH == 512
     systems = {}
     monkeypatch.setattr(cli, "_resolve_system",
                         lambda name: systems.get(name) or builtin_system(name))
     monkeypatch.delenv(cli.CACHE_ENV, raising=False)
-    parser = cli.build_parser()  # one for the 1,900 runs, half of whose time it took
+    monkeypatch.setattr(cli, "_BATCH", batch)
+    parser = cli.build_parser()  # one for the 950 runs, half of whose time it took
     monkeypatch.setattr(cli, "build_parser", lambda: parser)
-    written = {False: 0, True: 0}  # runs that wrote lines, by whether from blocks
+    written = {False: 0, True: 0}  # runs that wrote lines, by whether a leaf is many models
     caches = (tmp_path / f"cache{i}" for i in itertools.count())
-    batches = (cli._BATCH, 2)
     for sys_, table_ops, n in _raw_record_cases():
         systems[sys_.name] = sys_
         opts = EnumOptions(ops=table_ops)
         count = sum(1 for _ in itertools.islice(enumerate_vectors(sys_, n, opts), RAW_LIMIT + 1))
         count = count if count <= RAW_LIMIT else None
         want = [record_line(a) + "\n" for a in itertools.islice(
-            enumerate_models(sys_, n, opts), batches[0] + 1 if count is None else count)]
+            enumerate_models(sys_, n, opts), batch + 1 if count is None else count)]
         plan = models._plan(sys_, n, models._enumerated_ops(sys_, n, opts))
         k = plan[-1][1] if plan else 0
         argv = ["enumerate", "--system", sys_.name, "--size", str(n), "--format", "records",
                 *(["--ops", ",".join(op.value for op in table_ops)] if table_ops else [])]
-        for batch in batches:
-            monkeypatch.setattr(cli, "_BATCH", batch)
-            chunk = max(n ** m for m in range(k + 1) if n ** m <= batch) if k else batch
-            caps = {1, chunk, chunk + 1} if count is None else {
-                None, *(cap for cap in (1, chunk, count - 1, count, count + 1)
-                        if 0 < cap <= count + 1)}
-            for cap in caps:
-                stopped = cap is not None and (count is None or cap < count)
-                expect = (cli.EXIT_RESOURCE if stopped else cli.EXIT_OK, "".join(want[:cap]),
-                          f"error: more than max_results={cap} models exist\n" if stopped else "")
-                capped = [*argv, *(["--max-results", str(cap)] if cap else [])]
-                assert cli.main(capped) == expect[0], capped
-                assert (expect[0], *capsys.readouterr()) == expect, capped
-                cache = next(caches)
-                assert cli.main([*capped, "--cache-dir", str(cache)]) == expect[0], capped
-                assert (expect[0], *capsys.readouterr()) == expect, capped
-                assert [p.read_text(encoding="utf-8") for p in cache.glob("*")] == (
-                    [] if stopped else [expect[1] + cli._end_marker(len(want)) + "\n"])
-                written[bool(k)] += bool(want)
-    assert written[True] >= 400 and written[False] >= 400
+        chunk = (batch // n ** k or 1) * max(n ** m for m in range(k + 1) if n ** m <= batch)
+        caps = {1, chunk, chunk + 1} if count is None else {
+            None, *(cap for cap in (1, chunk, count - 1, count, count + 1) if 0 < cap <= count + 1)}
+        for cap in caps:
+            stopped = cap is not None and (count is None or cap < count)
+            expect = (cli.EXIT_RESOURCE if stopped else cli.EXIT_OK, "".join(want[:cap]),
+                      f"error: more than max_results={cap} models exist\n" if stopped else "")
+            capped = [*argv, *(["--max-results", str(cap)] if cap else [])]
+            assert cli.main(capped) == expect[0], capped
+            assert (expect[0], *capsys.readouterr()) == expect, capped
+            cache = next(caches)
+            assert cli.main([*capped, "--cache-dir", str(cache)]) == expect[0], capped
+            assert (expect[0], *capsys.readouterr()) == expect, capped
+            assert [p.read_text(encoding="utf-8") for p in cache.glob("*")] == (
+                [] if stopped else [expect[1] + cli._end_marker(len(want)) + "\n"])
+            written[bool(k)] += bool(want)
+    assert written[True] >= 200 and written[False] >= 200
 
 
 # ---------------------------------------------------------------------------

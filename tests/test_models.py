@@ -719,29 +719,50 @@ def test_record_codec_matches_json(tmp_path):
 
 
 def test_block_writer_matches_write_of_the_materialized_vectors():
-    # random blocks of the prod table, with and without a constant: each
-    # entry reads a free slot or the search's vector (its slots, then the
-    # carrier's values); the block's vectors are made as _vectors makes them
+    # random leaves of the prod table, with and without a constant: each
+    # entry reads a free slot, a slot of the leaf's vector (those past the
+    # last one read unwritten, -1) or a value of the carrier; the leaves come
+    # as the search gives them, one live list, and their vectors are made as
+    # _vectors makes them, then cut at each cap
     rng = random.Random(1890)
     for n, k, names in itertools.product(range(1, 11), range(5), ((), ("e",))):
         template = models.ShapeTemplate(n, (Op.PROD,), names)
-        vector = [rng.randrange(n) for _ in range(n * n + len(names))] + list(range(n))
-        got = [rng.randrange(k + len(vector)) for _ in range(n * n + len(names))]
-        if k > len(got):  # a free slot is an entry, so no shape has more
+        total = n * n + len(names)
+        if k > total:  # a free slot is an entry, so no shape has more
             continue
+        got = [rng.randrange(k + total + n) for _ in range(total)]
         got[:k] = rng.sample(range(k), k)  # every free slot read somewhere
-        vectors = [tuple(map((p + tuple(vector)).__getitem__, got))
-                   for p in itertools.product(range(n), repeat=k)]
+        top = max((g - k + 1 for g in got if k <= g < k + total), default=0)
+        leaves = [[rng.randrange(n) for _ in range(top)] + [-1] * (total - top) + list(range(n))
+                  for _ in range(rng.randint(1, 4 if n ** k < 1000 else 2))]
+        vectors = [tuple(map((p + tuple(leaf)).__getitem__, got))
+                   for leaf in leaves for p in itertools.product(range(n), repeat=k)]
+        want, step = template.write(vectors), len(template._zeros[0])
+
+        def live():
+            cells = []
+            for leaf in leaves:
+                cells[:] = leaf
+                yield cells
+
         for batch in (512, 7, 2, 1):
-            chunk = max(n ** m for m in range(k + 1) if n ** m <= batch)
-            for rows in {1, chunk - 1, chunk, chunk + 1, n ** k}:
-                if not 0 < rows <= n ** k:
-                    continue
-                lines = list(template.write_block(vector, got, k, rows, batch))
-                assert "".join(lines) == template.write(vectors[:rows]), (n, k, names, rows)
+            chunk = (batch // n ** k or 1) * max(n ** m for m in range(k + 1) if n ** m <= batch)
+            ends = (None, len(vectors) - 1, len(vectors), len(vectors) + 1)
+            if batch < 512 and len(vectors) > 1000:  # the whole stream in small chunks: slow
+                ends = ()
+            for cap in {0, 1, chunk - 1, chunk, chunk + 1, *ends} - {-1}:
+                lines, raised = [], False
+                try:
+                    for text in models._written_blocks(
+                            template.write_blocks(live(), got, k, batch), step, cap):
+                        lines.append(text)
+                except ResourceLimitError:
+                    raised = True
+                rows = len(vectors) if cap is None else min(cap, len(vectors))
+                assert "".join(lines) == want[:rows * step], (n, k, names, batch, cap)
                 assert [s.count("\n") for s in lines] == [chunk] * (rows // chunk) + (
                     [rows % chunk] if rows % chunk else [])
-        assert list(template.write_block(vector, got, k, 0, 512)) == []
+                assert raised == (rows < len(vectors))
 
 
 def test_numeral_pattern_matches_the_carrier_as_json_writes_it():
