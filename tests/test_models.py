@@ -746,11 +746,12 @@ def test_block_writer_matches_write_of_the_materialized_vectors():
                 yield cells
 
         for batch in (512, 7, 2, 1):
-            chunk = (batch // n ** k or 1) * max(n ** m for m in range(k + 1) if n ** m <= batch)
+            size = max(n ** m for m in range(k + 1) if n ** m <= batch)  # a leaf's n**m
+            chunk = (batch // n ** k or 1) * size
             ends = (None, len(vectors) - 1, len(vectors), len(vectors) + 1)
             if batch < 512 and len(vectors) > 1000:  # the whole stream in small chunks: slow
                 ends = ()
-            for cap in {0, 1, chunk - 1, chunk, chunk + 1, *ends} - {-1}:
+            for cap in {0, 1, size - 1, size, size + 1, chunk - 1, chunk, chunk + 1, *ends} - {-1}:
                 lines, raised = [], False
                 try:
                     for text in models._written_blocks(
