@@ -46,7 +46,6 @@ from .models import (
     compile_check,
     count_models,
     enumerate_models,
-    enumerate_vectors,
     from_record,
     models_template,
     past_max_results,
@@ -258,25 +257,20 @@ def _write_cache(path: Path, serve):
 _BATCH = 512
 
 
-def _joined(lines) -> str:
-    return "\n".join(lines) + "\n"
-
-
-def _write_lines(items, text=_joined, write=None):
-    """Write ``text`` of each batch of ``_BATCH`` of ``items`` (each a line,
-    by default) through ``write`` (stdout's by default); the items already
-    made are written when making the next one raises."""
-    write = write or _sys.stdout.write
+def _write_lines(lines):
+    """Write each batch of ``_BATCH`` of ``lines`` to stdout, each line ending
+    in a newline; the lines already made are written when making the next
+    one raises."""
     batch = []
     try:
-        for item in items:
-            batch.append(item)
+        for line in lines:
+            batch.append(line)
             if len(batch) == _BATCH:
                 done, batch = batch, []
-                write(text(done))
+                _sys.stdout.write("\n".join(done) + "\n")
     finally:
         if batch:
-            write(text(batch))
+            _sys.stdout.write("\n".join(batch) + "\n")
 
 
 def cmd_enumerate(args) -> int:
@@ -289,10 +283,10 @@ def cmd_enumerate(args) -> int:
         print(count_models(sys_, args.size, args.up_to_iso, opts))
         return EXIT_OK
     template = models_template(sys_, args.size, opts)
-    counts = []
+    left, counts = args.max_results, []  # the lines the cap still lets through; None: no cap
 
-    def serve(lines: str):
-        """The one output stage: write record lines in the asked format, or count them."""
+    def show(lines: str):
+        """Write record lines in the asked format, or count them."""
         if args.count:
             counts.append(lines.count("\n"))
         elif args.format == "records":
@@ -301,22 +295,26 @@ def cmd_enumerate(args) -> int:
             _write_lines(_algebra_text(t.algebra(v))
                          for t, v in _records(io.StringIO(lines), "enumerate"))
 
+    def serve(lines: str):
+        """The one output stage, for an enumeration and a cache hit alike:
+        show the lines or, past the cap, those before it, whole, then raise."""
+        nonlocal left
+        if left is not None:
+            count = lines.count("\n")
+            if count > left:
+                show(lines[:len(lines) - len(lines.split("\n", left)[-1])])
+                past_max_results(args.max_results)
+            left -= count
+        show(lines)
+
     path = _cache_path(cache_dir, sys_, ops, args.size, args.up_to_iso) if cache_dir else None
     body = _read_cache(path, template) if path else None
     if body is not None:  # a hit is served as the enumeration would be
-        cap = args.max_results
-        if cap is not None and body.count("\n") > cap:
-            serve("\n".join(body.split("\n", cap)[:cap]) + "\n")
-            past_max_results(cap)
         serve(body)
     else:
         with _write_cache(path, serve) if path else nullcontext(serve) as write:
-            blocks = record_blocks(sys_, args.size, opts, _BATCH)
-            if blocks is None:
-                _write_lines(enumerate_vectors(sys_, args.size, opts), template.write, write)
-            else:
-                for lines in blocks:
-                    write(lines)
+            for lines in record_blocks(sys_, args.size, opts, _BATCH):
+                write(lines)
     if args.count:
         print(sum(counts))
     return EXIT_OK

@@ -29,7 +29,8 @@ the last tested one: every value of the tail's free slots gives a model, so
 the search hands the tail to one ``itertools.product`` in its own order, a
 raw count adds up n**k per arrival there without building a vector, and raw
 record lines are written leaf by leaf (``ShapeTemplate.write_blocks``), each
-entry's digits as one column, without one either.
+entry's digits as one column, without one either.  The same writer takes the
+vectors of a run up to isomorphism as leaves of one model each.
 
 The record line format is defined once, by the shape template of an
 algebra's size, tables and constant names: one ``%`` format writes the
@@ -349,7 +350,9 @@ def _plan(sys: AxiomSystem, n: int, ops: tuple) -> Optional[tuple]:
     for a, b, x, v in conditional:  # equal roots: it holds
         a, b = sorted((roots[a], roots[b]), key=first)
         if a != b and b >= total:  # two values: v of x is ruled out before any slot is written
-            at_start &= cond(a, x, v)[1]
+            _, keep, bits = cond(a, x, v)
+            at_start &= keep
+            unsat = unsat or not at_start & bits  # x has no value left: no model
         elif a != b:  # a pair on the later root, a free slot
             pairs.setdefault(b, []).append(cond(a, x, v))
     tests, below = [None] * total, total  # (the slot tested before, pairs, checks) per slot
@@ -543,36 +546,27 @@ def past_max_results(cap: int) -> NoReturn:
 
 
 def record_blocks(sys: AxiomSystem, n: int, opts: Optional[EnumOptions], batch: int
-                  ) -> Optional[Iterator[str]]:
-    """The record lines of the models ``enumerate_vectors`` yields, at most
-    ``batch`` at a time, written leaf by leaf of the search by
-    ``ShapeTemplate.write_blocks`` with no entry vector per model, and
-    raising as it does; None where its vectors are written instead: up to
-    isomorphism, and for a shape without ``digits``."""
-    opts = opts or EnumOptions()
+                  ) -> Iterator[str]:
+    """The record lines of all the models ``enumerate_vectors`` yields,
+    ``max_results`` aside, at most ``batch`` at a time.  A shape with
+    ``digits`` is written by ``ShapeTemplate.write_blocks``: a raw run leaf
+    by leaf of the search, with no entry vector per model, and a run up to
+    isomorphism with each of its vectors as a leaf of one model.  Any other
+    shape's lines come from ``format``."""
+    opts = (opts or EnumOptions())._replace(max_results=None)
     ops = _enumerated_ops(sys, n, opts)
     template = models_template(sys, n, opts)
-    if opts.up_to_iso or not template.digits:
-        return None
-    plan = _plan(sys, n, ops)
-    if plan is None:  # no model
+    if not template.digits:
+        vectors, line = enumerate_vectors(sys, n, opts), template.format + "\n"
+        return ("".join(map(line.__mod__, cut))
+                for cut in iter(lambda: list(islice(vectors, batch)), []))
+    if opts.up_to_iso:  # the filter reads vectors: each is a leaf, its entries in order
+        leaves, k, got = enumerate_vectors(sys, n, opts), 0, range(len(template._zeros[1]))
+    elif (plan := _plan(sys, n, ops)) is None:  # no model
         return iter(())
-    _, k, got, _ = plan[-1]
-    return _written_blocks(template.write_blocks(_blocks(sys, n, ops), got, k, batch),
-                           len(template._zeros[0]), opts.max_results)
-
-
-def _written_blocks(chunks, step: int, cap: Optional[int]) -> Iterator[str]:
-    """Each chunk of lines ``step`` bytes long, decoded, the lines past ``cap``
-    cut off before ResourceLimitError is raised."""
-    left = float("inf") if cap is None else cap * step
-    for out in chunks:
-        if len(out) > left:
-            if left:
-                yield out[:left].decode()
-            past_max_results(cap)
-        left -= len(out)
-        yield out.decode()
+    else:
+        leaves, (_, k, got, _) = _blocks(sys, n, ops), plan[-1]
+    return map(bytearray.decode, template.write_blocks(leaves, got, k, batch))
 
 
 def models_template(sys: AxiomSystem, n: int, opts: Optional[EnumOptions] = None
@@ -765,28 +759,14 @@ class ShapeTemplate(namedtuple("ShapeTemplate", "size ops names")):
         at = [i for i, c in enumerate(line) if c in b"0123456789"]
         return line, at[len(str(self.size)):]
 
-    def write(self, vectors) -> str:
-        """The record lines of the entry vectors ``vectors``, a sequence, each
-        ending in a newline.  For a shape with ``digits``, the values of the
-        batch, each written as its digit, go to copies of one line at a fixed
-        stride, entry by entry; any other shape's lines come from ``format``."""
-        if not self.digits:
-            return "".join(map((self.format + "\n").__mod__, vectors))
-        line, offsets = self._zeros
-        out = bytearray(line * len(vectors))
-        digits = b"".join(map(bytes, vectors)).translate(_DIGITS)
-        step, k = len(line), len(offsets)
-        for i, at in enumerate(offsets):
-            out[at::step] = digits[i::k]
-        return out.decode()
-
     def write_blocks(self, leaves, got, k: int, batch: int) -> Iterator[bytearray]:
         """The record lines, in bytes, of the models below each leaf vector of
         a search (its slots, then the carrier's values), for a shape with
         ``digits``, each chunk read before the next is made.  Entry i of the
         j-th model below a leaf holds slot got[i] of the j-th product tuple
         of k values (the last counted up fastest) if got[i] < k, else entry
-        got[i] - k of the leaf's vector.  A chunk has at most ``batch`` lines:
+        got[i] - k of the leaf's vector; so an entry vector is a leaf of one
+        model, with k = 0 and ``got`` its entries in order.  A chunk has at most ``batch`` lines:
         the first n**m models of one leaf after another, as many leaves as
         fit, or of one leaf n**m models at a time.  Each fixed entry's column
         is one strided slice assignment to the chunk's line per leaf, each

@@ -13,9 +13,9 @@ from pathlib import Path
 import pytest
 
 from eqbench import cli, models, structure
-from eqbench.axioms import builtin_system, merge
-from eqbench.models import (enumerate_models, from_record, make_algebra, record_line,
-                             template_of, to_record)
+from eqbench.axioms import builtin_system, load_axioms, merge
+from eqbench.models import (EnumOptions, enumerate_models, from_record, make_algebra,
+                             record_line, template_of, to_record)
 from eqbench.terms import Op
 
 
@@ -610,6 +610,45 @@ def test_enumerate_max_results_cap_exit_code(tmp_path, capsys, monkeypatch):
     assert path.read_text(encoding="utf-8") == full + cli._end_marker(4) + "\n"
 
 
+@pytest.mark.parametrize("batch", [512, pytest.param(2, marks=pytest.mark.slow)])
+def test_max_results_cuts_every_record_writer_the_same(batch, tmp_path, capsys, monkeypatch):
+    # the output stage applies the cap to the lines of each writer: a raw
+    # run (C0, one leaf of 19,683 models, and an axiom file whose leaves are
+    # 3 models each), a run up to isomorphism (each vector a leaf of one
+    # model) and C0 at size 11 (no digits: format writes the lines).  In
+    # batches of 512 lines (3 s) and of two (slow: 5 s, most lines a chunk
+    # of their own), capped at 1, around a batch and at the count less one
+    # and at it, a run without a cache, on a cold one and on a warm one
+    # prints record_line of the first algebras enumerate_models yields, and
+    # exits 3 exactly when the cap is below the count
+    assert cli._BATCH == 512
+    monkeypatch.setattr(cli, "_BATCH", batch)
+    leaves = tmp_path / "leaves.ax"
+    leaves.write_text("a(bc) = a(bc)\na/b = c/d\n")
+    c0 = builtin_system("C0")
+    cases = [(c0, ["--system", "C0", "--size", "3"], EnumOptions(), 19_683),
+             (c0, ["--system", "C0", "--size", "3", "--up-to-iso"], EnumOptions(up_to_iso=True),
+              3_330),
+             (load_axioms(leaves), ["--system", str(leaves), "--size", "3"], EnumOptions(),
+              59_049),
+             (c0, ["--system", "C0", "--size", "11", "--allow-large"],
+              EnumOptions(allow_large=True), None)]
+    caches = (str(tmp_path / f"cache{i}") for i in itertools.count())
+    for sys_, argv, opts, count in cases:
+        n = int(argv[argv.index("--size") + 1])
+        caps = {1, batch - 1, batch, batch + 1, *((count - 1, count) if count else ())} - {0}
+        want = [record_line(a) + "\n"
+                for a in itertools.islice(enumerate_models(sys_, n, opts), max(caps))]
+        for cap in sorted(caps):
+            stopped = count is None or cap < count
+            expect = (cli.EXIT_RESOURCE if stopped else 0, "".join(want[:cap]),
+                      f"error: more than max_results={cap} models exist\n" if stopped else "")
+            capped = ["enumerate", *argv, "--format", "records", "--max-results", str(cap)]
+            cache = ["--cache-dir", next(caches)]
+            for state in ([], cache, cache):  # no cache, cold, warm
+                assert run(capsys, *capped, *state) == expect, (capped, state)
+
+
 def test_enumerate_builds_the_relabeling_table_only_up_to_iso(capsys, monkeypatch):
     # the table has a row per permutation of the carrier: 40! at size 40
     def refuse(*args):
@@ -794,7 +833,6 @@ def test_cache_hit_serves_every_format(tmp_path, capsys, monkeypatch):
         raise AssertionError("a cache hit enumerates nothing")
 
     monkeypatch.setattr(cli, "enumerate_models", enumerate_again)
-    monkeypatch.setattr(cli, "enumerate_vectors", enumerate_again)
     monkeypatch.setattr(cli, "record_blocks", enumerate_again)
     for fmt in formats:
         assert run(capsys, *base, *fmt, "--cache-dir", str(tmp_path)) == cold[fmt[-1]]

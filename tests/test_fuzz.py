@@ -373,6 +373,26 @@ def test_constant_domains_match_oracles_on_random_systems():
     assert both >= 8 and named_together >= 5 and sizes_3 >= 10 and some_not_all >= 30
 
 
+def test_a_constant_ruled_out_before_any_slot_means_no_model():
+    # fuzz6, fuzz14, fuzz19 and fuzz23 each have an axiom x = e, which no
+    # algebra of two or more elements satisfies: its instances rule out
+    # every value of e before any slot is written, so the plan is None and
+    # there is nothing to walk (a 200,000-node walk at size 3 found no model
+    # and hit its cap); the size-2 oracle agrees
+    cases = {sys_.name: (sys_, table_ops) for sys_, table_ops, _ in _random_cases()}
+    for name in ("fuzz6", "fuzz14", "fuzz19", "fuzz23"):
+        sys_, table_ops = cases[name]
+        assert any(isinstance(eq.lhs, Var) and isinstance(eq.rhs, Var)
+                   and len({eq.lhs.name, eq.rhs.name} - sys_.constants) == 1
+                   for eq in sys_.equations), name
+        assert oracle_models(sys_, 2, table_ops) == []
+        ops = tuple(op for op in OP_ORDER if op in table_ops)
+        for n in (2, 3):
+            assert models._plan(sys_, n, ops) is None, (name, n)
+            assert models.count_models(sys_, n, opts=EnumOptions(ops=table_ops)) == 0
+            assert list(models._vectors(sys_, n, ops, None, 1)) == []  # no node counted
+
+
 def _check_canonical(alg):
     size, tables, constants = oracle_canonical(alg)
     entries = [x for _, t in tables for row in t for x in row] + [v for _, v in constants]

@@ -669,7 +669,7 @@ def test_from_record_on_odd_and_malformed_input(tmp_path, name):
 def test_record_codec_matches_json(tmp_path):
     rng = random.Random(1895)
     names = ["e", "%d", "100%", 'say "e"', "back\\slash", "\u00e9l\u00e9ment"]
-    kernels = set()  # whether write's byte kernel made a shape's lines
+    kernels = set()  # whether the block writer made a shape's lines
     for _ in range(300):
         n = rng.randint(1, 12)
         ops = rng.sample(OP_ORDER, rng.randint(0, 3))
@@ -694,17 +694,19 @@ def test_record_codec_matches_json(tmp_path):
             assert stop == len(data) and template.algebra(entries) == second
         assert _read_algebras(tmp_path, lines) == [from_record(json.loads(line))
                                                   for line in lines]
-        # write makes the lines format does, by its byte kernel or by format
+        # for a shape with digits the block writer makes the same lines of
+        # the vectors, as leaves of one model each
         vectors = [a.cells + tuple(v for _, v in a.constants) for a in (first, second)]
-        assert template.write(vectors) == "".join(template.format % v + "\n" for v in vectors)
-        assert template.write([]) == ""
+        if template.digits:
+            assert _one_model_leaves(template, vectors) == "".join(line + "\n" for line in lines)
+            assert _one_model_leaves(template, []) == ""
         kernels.add(bool(template.digits))
     assert kernels == {True, False}
-    for n in range(1, 13):  # no tables and no constants: every line is the same
+    for n in range(1, 11):  # no tables and no constants: every line is the same
         template = template_of(make_algebra(n, {}))
-        assert template.write([(), ()]) == 2 * (template.format % () + "\n")
-    # past 512 entries, by the tables (the fallback) or by the constants (the
-    # byte kernel), write compiles no pattern
+        assert _one_model_leaves(template, [(), ()]) == 2 * (template.format % () + "\n")
+    # past 512 entries, by the tables (no digits: format) or by the constants
+    # (the block writer), the lines are written without compiling a pattern
     letters = "abcdefghijklmnopqrstuvwxyz"
     for n, ops, names in ((14, tuple(OP_ORDER), ()),
                           (2, (Op.PROD,), tuple(sorted(x + y for x in letters for y in letters)))):
@@ -714,16 +716,28 @@ def test_record_codec_matches_json(tmp_path):
         vectors = [tuple(rng.randrange(n) for _ in range(entries)) for _ in range(3)]
         want = "".join(json.dumps(to_record(template.algebra(v)), separators=(",", ":")) + "\n"
                        for v in vectors)
-        assert template.write(vectors) == want
+        assert "".join(template.format % v + "\n" for v in vectors) == want
+        if template.digits:
+            assert _one_model_leaves(template, vectors) == want
         assert "lines" not in vars(template)
 
 
-def test_block_writer_matches_write_of_the_materialized_vectors():
+def _one_model_leaves(template, vectors, batch=512):
+    """The lines ``write_blocks`` makes of entry vectors, each a leaf of one
+    model, as ``record_blocks`` writes a run up to isomorphism."""
+    entries = len(template.ops) * template.size ** 2 + len(template.names)
+    return b"".join(template.write_blocks(iter(vectors), range(entries), 0, batch)).decode()
+
+
+def test_block_writer_matches_format_of_the_materialized_vectors():
     # random leaves of the prod table, with and without a constant: each
     # entry reads a free slot, a slot of the leaf's vector (those past the
     # last one read unwritten, -1) or a value of the carrier; the leaves come
     # as the search gives them, one live list, and their vectors are made as
-    # _vectors makes them, then cut at each cap
+    # _vectors makes them.  Each chunk holds the n**m models of as many
+    # leaves as fit, or n**m models of one leaf; the vectors themselves,
+    # each a leaf of one model (k = 0, as up to isomorphism), give the same
+    # lines in chunks of the batch
     rng = random.Random(1890)
     for n, k, names in itertools.product(range(1, 11), range(5), ((), ("e",))):
         template = models.ShapeTemplate(n, (Op.PROD,), names)
@@ -737,7 +751,7 @@ def test_block_writer_matches_write_of_the_materialized_vectors():
                   for _ in range(rng.randint(1, 4 if n ** k < 1000 else 2))]
         vectors = [tuple(map((p + tuple(leaf)).__getitem__, got))
                    for leaf in leaves for p in itertools.product(range(n), repeat=k)]
-        want, step = template.write(vectors), len(template._zeros[0])
+        want, step = "".join(template.format % v + "\n" for v in vectors), len(template._zeros[0])
 
         def live():
             cells = []
@@ -748,22 +762,23 @@ def test_block_writer_matches_write_of_the_materialized_vectors():
         for batch in (512, 7, 2, 1):
             size = max(n ** m for m in range(k + 1) if n ** m <= batch)  # a leaf's n**m
             chunk = (batch // n ** k or 1) * size
-            ends = (None, len(vectors) - 1, len(vectors), len(vectors) + 1)
-            if batch < 512 and len(vectors) > 1000:  # the whole stream in small chunks: slow
-                ends = ()
-            for cap in {0, 1, size - 1, size, size + 1, chunk - 1, chunk, chunk + 1, *ends} - {-1}:
-                lines, raised = [], False
-                try:
-                    for text in models._written_blocks(
-                            template.write_blocks(live(), got, k, batch), step, cap):
-                        lines.append(text)
-                except ResourceLimitError:
-                    raised = True
-                rows = len(vectors) if cap is None else min(cap, len(vectors))
-                assert "".join(lines) == want[:rows * step], (n, k, names, batch, cap)
-                assert [s.count("\n") for s in lines] == [chunk] * (rows // chunk) + (
-                    [rows % chunk] if rows % chunk else [])
-                assert raised == (rows < len(vectors))
+            whole = batch == 512 or len(vectors) <= 1000  # else the first chunks: slow
+            chunks = template.write_blocks(live(), got, k, batch)
+            # each chunk is read before the next is made
+            lines = [text.decode() for text in itertools.islice(chunks, None if whole else 4)]
+            rows = len(vectors) if whole else len(lines) * chunk
+            assert "".join(lines) == want[:rows * step], (n, k, names, batch)
+            assert [s.count("\n") for s in lines] == _cut(rows, chunk)
+            if whole:
+                lines = [text.decode() for text in template.write_blocks(
+                    iter(vectors), range(total), 0, batch)]
+                assert "".join(lines) == want, (n, k, names, batch)
+                assert [s.count("\n") for s in lines] == _cut(len(vectors), batch)
+
+
+def _cut(rows, chunk):
+    """The lines of each chunk of ``rows`` lines cut every ``chunk``."""
+    return [chunk] * (rows // chunk) + ([rows % chunk] if rows % chunk else [])
 
 
 def test_numeral_pattern_matches_the_carrier_as_json_writes_it():
