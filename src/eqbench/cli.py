@@ -15,7 +15,6 @@ Each command imports the modules only it runs (``consequence``, ``power``,
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import os
 import sys as _sys
@@ -37,7 +36,6 @@ from .axioms import (
 )
 from .models import (
     EnumOptions,
-    FiniteAlgebra,
     MissingConstantError,
     MissingTableError,
     ResourceLimitError,
@@ -183,15 +181,6 @@ def _emit(record: dict):
     print(json.dumps(record, separators=(",", ":")))
 
 
-def _algebra_text(alg: FiniteAlgebra) -> str:
-    parts = [f"size={alg.size}"]
-    for op, table in alg.tables:
-        parts.append(f"{op.value}={json.dumps([list(r) for r in table], separators=(',', ':'))}")
-    if alg.constants:
-        parts.append("constants=" + ",".join(f"{k}={v}" for k, v in alg.constants))
-    return " ".join(parts)
-
-
 # ---------------------------------------------------------------------------
 # enumerate (with the model cache)
 
@@ -206,10 +195,10 @@ def _end_marker(count: int) -> str:
 
 
 def _read_cache(path: Path, template: ShapeTemplate):
-    """The record lines cached at ``path``, each ending in a newline, or
-    None (a miss) when the file is absent, does not end with the marker line
-    that counts its records, or holds a line that is not a record line of
-    ``template`` (such a line is ASCII, so the lines are UTF-8)."""
+    """The record lines cached at ``path``, each ending in a newline, and their
+    count; or None (a miss) when the file is absent, does not end with the
+    marker line that counts its records, or holds a line that is not a record
+    line of ``template`` (such a line is ASCII, so the lines are UTF-8)."""
     try:
         data = path.read_bytes()
     except FileNotFoundError:
@@ -220,7 +209,7 @@ def _read_cache(path: Path, template: ShapeTemplate):
             or not (template.lines.fullmatch(body) if _patterned(template) else
                     all(_is_record_line(template, s) for s in body.split(b"\n")[:-1]))):
         return None
-    return body.decode()
+    return body.decode(), body.count(b"\n")
 
 
 def _is_record_line(template: ShapeTemplate, line: bytes) -> bool:
@@ -234,10 +223,10 @@ def _is_record_line(template: ShapeTemplate, line: bytes) -> bool:
 
 @contextmanager
 def _write_cache(path: Path, serve):
-    """Yield ``serve`` teed into a temp file of this writer's own.  When the
-    block ends, write the end marker and rename the file into place, so
-    readers never see a partial file; when it raises (the cap, a closed pipe,
-    an error), remove the file, so a run cut short is not cached."""
+    """Yield ``serve`` (of lines and their count) teed into a temp file of its
+    own.  When the block ends, write the end marker and rename the file into
+    place, so readers never see a partial file; when it raises (the cap, a
+    closed pipe, an error), remove the file, so a run cut short is not cached."""
     import tempfile
 
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -245,7 +234,7 @@ def _write_cache(path: Path, serve):
     counts = []
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as f:
-            yield lambda lines: (f.write(lines), counts.append(lines.count("\n")), serve(lines))
+            yield lambda lines, count: (f.write(lines), counts.append(count), serve(lines, count))
             f.write(_end_marker(sum(counts)) + "\n")
         os.replace(tmp, path)
     except BaseException:
@@ -283,40 +272,33 @@ def cmd_enumerate(args) -> int:
         print(count_models(sys_, args.size, args.up_to_iso, opts))
         return EXIT_OK
     template = models_template(sys_, args.size, opts)
-    left, counts = args.max_results, []  # the lines the cap still lets through; None: no cap
-
-    def show(lines: str):
-        """Write record lines in the asked format, or count them."""
-        if args.count:
-            counts.append(lines.count("\n"))
-        elif args.format == "records":
-            _sys.stdout.write(lines)
-        else:
-            _write_lines(_algebra_text(t.algebra(v))
-                         for t, v in _records(io.StringIO(lines), "enumerate"))
-
-    def serve(lines: str):
-        """The one output stage, for an enumeration and a cache hit alike:
-        show the lines or, past the cap, those before it, whole, then raise."""
-        nonlocal left
-        if left is not None:
-            count = lines.count("\n")
-            if count > left:
-                show(lines[:len(lines) - len(lines.split("\n", left)[-1])])
-                past_max_results(args.max_results)
-            left -= count
-        show(lines)
-
     path = _cache_path(cache_dir, sys_, ops, args.size, args.up_to_iso) if cache_dir else None
-    body = _read_cache(path, template) if path else None
-    if body is not None:  # a hit is served as the enumeration would be
-        serve(body)
+    cap, served = args.max_results, 0  # the lines served so far, if ``counted``
+    counted = path or cap is not None or args.count  # the cache, cap or --count needs it
+
+    def serve(lines: str, count: int):
+        """The one output stage, for an enumeration and a cache hit alike:
+        write the ``count`` record lines ``lines`` in the asked format, or
+        count them; past the cap, those before it, whole, then raise."""
+        nonlocal served
+        past = cap is not None and served + count > cap
+        if past:
+            lines = lines[:len(lines) - len(lines.split("\n", cap - served)[-1])]
+        if not args.count:
+            _sys.stdout.write(lines if args.format == "records" else template.text(lines))
+        if past:
+            past_max_results(cap)
+        served += count
+
+    hit = _read_cache(path, template) if path else None
+    if hit is not None:  # a hit is served as the enumeration would be
+        serve(*hit)
     else:
         with _write_cache(path, serve) if path else nullcontext(serve) as write:
             for lines in record_blocks(sys_, args.size, opts, _BATCH):
-                write(lines)
+                write(lines, lines.count("\n") if counted else 0)
     if args.count:
-        print(sum(counts))
+        print(served)
     return EXIT_OK
 
 
@@ -437,7 +419,7 @@ def cmd_refute(args) -> int:
     elif isinstance(verdict, Refuted):
         at = ", ".join(f"{k}={v}" for k, v in verdict.witness)
         print(f"refuted: {format_equation(cand)} fails at {at} in")
-        print("  " + _algebra_text(verdict.countermodel))
+        print("  " + template_of(verdict.countermodel).text(record_line(verdict.countermodel)))
     else:
         print(f"holds in every model up to size {verdict.max_size}")
     return EXIT_OK if isinstance(verdict, Refuted) else EXIT_NEGATIVE

@@ -32,11 +32,13 @@ record lines are written leaf by leaf (``ShapeTemplate.write_blocks``), each
 entry's digits as one column, without one either.  The same writer takes the
 vectors of a run up to isomorphism as leaves of one model each.
 
-The record line format is defined once, by the shape template of an
+Both line formats are defined once, by the shape template of an
 algebra's size, tables and constant names: one ``%`` format writes the
-lines, and one bytes pattern, built from the same pieces, checks runs of
-them.  Below size 11 a run is read by keeping its digits, which are each
-line's size and entries.
+record lines, and one bytes pattern, built from the same pieces, checks
+runs of them.  Below size 11 a run is read by keeping its digits, which are
+each line's size and entries.  A text line has other pieces between the
+same entries, so record lines become text by rewriting the pieces that
+differ.
 """
 
 from __future__ import annotations
@@ -693,36 +695,60 @@ _DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
 
 class ShapeTemplate(namedtuple("ShapeTemplate", "size ops names")):
     """The algebras of size ``size`` with the tables ``ops``, in that order,
-    and the constants ``names``, and their record lines.
+    and the constants ``names``, and their record and text lines.
 
     An entry vector holds the cells, table after table, each row-major, then
     the constants' values.  The format and the patterns are built from the
     same pieces as ``json.dumps(to_record(alg), separators=(",", ":"))``;
-    the pattern is compiled on first use.
+    the pattern is compiled on first use.  The text line is built from the
+    same pieces too, with its own around the tables and the constants.
     """
 
     # no __slots__: the cached properties keep their values in __dict__
 
-    def _record(self, entry: str, literal) -> str:
-        """The record line with ``entry`` for each entry and every other
-        piece passed through ``literal``."""
+    def _record(self, entry: str, literal, text: bool = False) -> str:
+        """The record line, or with ``text`` the text line, with ``entry``
+        for each entry and every other piece passed through ``literal``: the
+        two hold the same tables, and differ only in the pieces around them
+        and around the constants."""
         def listed(items):
             return literal("[") + literal(",").join(items) + literal("]")
 
+        def keyed(names, value):
+            return [literal(name + "=" if text else json.dumps(name) + ":") + value
+                    for name in names]
+
         n = self.size
-        table = listed([listed([entry] * n)] * n)
-        return (literal('{"size":%d,"ops":{' % n)
-                + literal(",").join(literal(json.dumps(op.value) + ":") + table
-                                    for op in self.ops)
-                + literal('},"constants":{')
-                + literal(",").join(literal(json.dumps(name) + ":") + entry
-                                    for name in self.names)
-                + literal("}}"))
+        tables = keyed([op.value for op in self.ops], listed([listed([entry] * n)] * n))
+        constants = literal(",").join(keyed(self.names, entry))
+        if text:
+            return literal(" ").join([literal("size=%d" % n), *tables]
+                                     + [literal("constants=") + constants] * bool(self.names))
+        return (literal('{"size":%d,"ops":{' % n) + literal(",").join(tables)
+                + literal('},"constants":{') + constants + literal("}}"))
 
     @cached_property
     def format(self) -> str:
         """``format % entries`` is the record line of an entry vector."""
         return self._record("%d", lambda s: s.replace("%", "%%"))
+
+    @cached_property
+    def _text_pieces(self) -> tuple:
+        """(record piece, text piece) of each piece of a line between two
+        entries, or an entry and an end of the line, where the two differ,
+        in line order."""
+        record, text = (self._record("\n", str, t).split("\n") for t in (False, True))
+        return tuple((r, t) for r, t in zip(record, text) if r != t)
+
+    def text(self, lines: str) -> str:
+        """The text lines of ``lines``, record lines of this shape as
+        ``format`` writes them: the pieces that differ are rewritten one after
+        another, in line order.  That is exact while no constant's name holds
+        a quote or a brace: each record piece holds one, and nothing else in
+        the lines does once the pieces before it are rewritten."""
+        for record, text in self._text_pieces:
+            lines = lines.replace(record, text)
+        return lines
 
     @cached_property
     def lines(self) -> re.Pattern:

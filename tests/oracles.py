@@ -13,6 +13,7 @@ are reused.  Two enumeration strengths:
 from __future__ import annotations
 
 import itertools
+import json
 
 import numpy as np
 
@@ -287,6 +288,20 @@ def are_isomorphic(a: FiniteAlgebra, b: FiniteAlgebra) -> bool:
         algebra_tuple(apply_perm(a, perm)) == algebra_tuple(b)
         for perm in itertools.permutations(range(a.size))
     )
+
+
+# ---------------------------------------------------------------------------
+# text lines
+
+def algebra_text(alg: FiniteAlgebra) -> str:
+    """The text line of ``alg``, as ``enumerate`` and ``refute`` print it,
+    built field by field with ``json``."""
+    parts = [f"size={alg.size}"]
+    for op, table in alg.tables:
+        parts.append(f"{op.value}={json.dumps([list(r) for r in table], separators=(',', ':'))}")
+    if alg.constants:
+        parts.append("constants=" + ",".join(f"{k}={v}" for k, v in alg.constants))
+    return " ".join(parts)
 
 
 # ---------------------------------------------------------------------------

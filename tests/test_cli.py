@@ -18,6 +18,8 @@ from eqbench.models import (EnumOptions, enumerate_models, from_record, make_alg
                              record_line, template_of, to_record)
 from eqbench.terms import Op
 
+from oracles import algebra_text
+
 
 def run(capsys, *argv):
     code = cli.main(list(argv))
@@ -616,11 +618,12 @@ def test_max_results_cuts_every_record_writer_the_same(batch, tmp_path, capsys, 
     # run (C0, one leaf of 19,683 models, and an axiom file whose leaves are
     # 3 models each), a run up to isomorphism (each vector a leaf of one
     # model) and C0 at size 11 (no digits: format writes the lines).  In
-    # batches of 512 lines (3 s) and of two (slow: 5 s, most lines a chunk
+    # batches of 512 lines (6 s) and of two (slow: 13 s, most lines a chunk
     # of their own), capped at 1, around a batch and at the count less one
     # and at it, a run without a cache, on a cold one and on a warm one
-    # prints record_line of the first algebras enumerate_models yields, and
-    # exits 3 exactly when the cap is below the count
+    # prints record_line of the first algebras enumerate_models yields (in
+    # --format text, their reference text), and exits 3 exactly when the cap
+    # is below the count
     assert cli._BATCH == 512
     monkeypatch.setattr(cli, "_BATCH", batch)
     leaves = tmp_path / "leaves.ax"
@@ -637,13 +640,14 @@ def test_max_results_cuts_every_record_writer_the_same(batch, tmp_path, capsys, 
     for sys_, argv, opts, count in cases:
         n = int(argv[argv.index("--size") + 1])
         caps = {1, batch - 1, batch, batch + 1, *((count - 1, count) if count else ())} - {0}
-        want = [record_line(a) + "\n"
-                for a in itertools.islice(enumerate_models(sys_, n, opts), max(caps))]
-        for cap in sorted(caps):
+        algebras = list(itertools.islice(enumerate_models(sys_, n, opts), max(caps)))
+        formats = {"records": [record_line(a) + "\n" for a in algebras],
+                   "text": [algebra_text(a) + "\n" for a in algebras]}
+        for cap, (fmt, want) in itertools.product(sorted(caps), formats.items()):
             stopped = count is None or cap < count
             expect = (cli.EXIT_RESOURCE if stopped else 0, "".join(want[:cap]),
                       f"error: more than max_results={cap} models exist\n" if stopped else "")
-            capped = ["enumerate", *argv, "--format", "records", "--max-results", str(cap)]
+            capped = ["enumerate", *argv, "--format", fmt, "--max-results", str(cap)]
             cache = ["--cache-dir", next(caches)]
             for state in ([], cache, cache):  # no cache, cold, warm
                 assert run(capsys, *capped, *state) == expect, (capped, state)

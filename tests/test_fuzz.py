@@ -68,6 +68,7 @@ from eqbench.terms import (
 )
 
 from oracles import (
+    algebra_text,
     algebra_tuple,
     all_tables,
     literal_models,
@@ -488,16 +489,17 @@ def test_raw_records_match_record_line_over_enumerate_models(batch, tmp_path, ca
     # lines (the block writer's leaves per chunk times n**m), at the count
     # less one, at it and past it (past RAW_LIMIT models: at the chunk's end
     # and one past it), without a cache and on a cold one, in batches of 512
-    # lines (the CLI's, 2 s) and of two (slow: 4 s), are
+    # lines (the CLI's, 5 s) and of two (slow: 10 s), are
     # the lines record_line makes of the algebras enumerate_models yields,
-    # cut at the cap; a run the cap stops exits 3 and caches nothing
+    # cut at the cap, and in --format text the reference text of the same
+    # algebras; a run the cap stops exits 3 and caches nothing
     assert cli._BATCH == 512
     systems = {}
     monkeypatch.setattr(cli, "_resolve_system",
                         lambda name: systems.get(name) or builtin_system(name))
     monkeypatch.delenv(cli.CACHE_ENV, raising=False)
     monkeypatch.setattr(cli, "_BATCH", batch)
-    parser = cli.build_parser()  # one for the 950 runs, half of whose time it took
+    parser = cli.build_parser()  # one for the 1,900 runs, half of whose time it took
     monkeypatch.setattr(cli, "build_parser", lambda: parser)
     written = {False: 0, True: 0}  # runs that wrote lines, by whether a leaf is many models
     caches = (tmp_path / f"cache{i}" for i in itertools.count())
@@ -506,27 +508,30 @@ def test_raw_records_match_record_line_over_enumerate_models(batch, tmp_path, ca
         opts = EnumOptions(ops=table_ops)
         count = sum(1 for _ in itertools.islice(enumerate_vectors(sys_, n, opts), RAW_LIMIT + 1))
         count = count if count <= RAW_LIMIT else None
-        want = [record_line(a) + "\n" for a in itertools.islice(
-            enumerate_models(sys_, n, opts), batch + 1 if count is None else count)]
+        algebras = list(itertools.islice(enumerate_models(sys_, n, opts),
+                                         batch + 1 if count is None else count))
+        formats = {"records": [record_line(a) + "\n" for a in algebras],
+                   "text": [algebra_text(a) + "\n" for a in algebras]}
+        want = formats["records"]
         plan = models._plan(sys_, n, models._enumerated_ops(sys_, n, opts))
         k = plan[-1][1] if plan else 0
-        argv = ["enumerate", "--system", sys_.name, "--size", str(n), "--format", "records",
+        argv = ["enumerate", "--system", sys_.name, "--size", str(n),
                 *(["--ops", ",".join(op.value for op in table_ops)] if table_ops else [])]
         chunk = (batch // n ** k or 1) * max(n ** m for m in range(k + 1) if n ** m <= batch)
         caps = {1, chunk, chunk + 1} if count is None else {
             None, *(cap for cap in (1, chunk, count - 1, count, count + 1) if 0 < cap <= count + 1)}
-        for cap in caps:
+        for cap, (fmt, lines) in itertools.product(caps, formats.items()):
             stopped = cap is not None and (count is None or cap < count)
-            expect = (cli.EXIT_RESOURCE if stopped else cli.EXIT_OK, "".join(want[:cap]),
+            expect = (cli.EXIT_RESOURCE if stopped else cli.EXIT_OK, "".join(lines[:cap]),
                       f"error: more than max_results={cap} models exist\n" if stopped else "")
-            capped = [*argv, *(["--max-results", str(cap)] if cap else [])]
+            capped = [*argv, "--format", fmt, *(["--max-results", str(cap)] if cap else [])]
             assert cli.main(capped) == expect[0], capped
             assert (expect[0], *capsys.readouterr()) == expect, capped
             cache = next(caches)
             assert cli.main([*capped, "--cache-dir", str(cache)]) == expect[0], capped
             assert (expect[0], *capsys.readouterr()) == expect, capped
             assert [p.read_text(encoding="utf-8") for p in cache.glob("*")] == (
-                [] if stopped else [expect[1] + cli._end_marker(len(want)) + "\n"])
+                [] if stopped else ["".join(want) + cli._end_marker(len(want)) + "\n"])
             written[bool(k)] += bool(want)
     assert written[True] >= 200 and written[False] >= 200
 

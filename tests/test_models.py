@@ -40,6 +40,7 @@ from eqbench.cli import CliError, _read_records
 from eqbench.terms import OP_ORDER, Op, parse_equation, parse_term
 
 from oracles import (
+    algebra_text,
     are_isomorphic,
     o_eval,
     o_satisfies,
@@ -668,7 +669,7 @@ def test_from_record_on_odd_and_malformed_input(tmp_path, name):
 
 def test_record_codec_matches_json(tmp_path):
     rng = random.Random(1895)
-    names = ["e", "%d", "100%", 'say "e"', "back\\slash", "\u00e9l\u00e9ment"]
+    names = ["e", "e1", "%d", "100%", 'say "e"', "back\\slash", "\u00e9l\u00e9ment"]
     kernels = set()  # whether the block writer made a shape's lines
     for _ in range(300):
         n = rng.randint(1, 12)
@@ -694,6 +695,10 @@ def test_record_codec_matches_json(tmp_path):
             assert stop == len(data) and template.algebra(entries) == second
         assert _read_algebras(tmp_path, lines) == [from_record(json.loads(line))
                                                   for line in lines]
+        # the text lines are the record lines rewritten, as the reference
+        # writes them field by field
+        assert template.text("".join(line + "\n" for line in lines)) == "".join(
+            algebra_text(a) + "\n" for a in (first, second))
         # for a shape with digits the block writer makes the same lines of
         # the vectors, as leaves of one model each
         vectors = [a.cells + tuple(v for _, v in a.constants) for a in (first, second)]
@@ -705,6 +710,7 @@ def test_record_codec_matches_json(tmp_path):
     for n in range(1, 11):  # no tables and no constants: every line is the same
         template = template_of(make_algebra(n, {}))
         assert _one_model_leaves(template, [(), ()]) == 2 * (template.format % () + "\n")
+        assert template.text(2 * (template.format % () + "\n")) == 2 * f"size={n}\n"
     # past 512 entries, by the tables (no digits: format) or by the constants
     # (the block writer), the lines are written without compiling a pattern
     letters = "abcdefghijklmnopqrstuvwxyz"
@@ -719,6 +725,8 @@ def test_record_codec_matches_json(tmp_path):
         assert "".join(template.format % v + "\n" for v in vectors) == want
         if template.digits:
             assert _one_model_leaves(template, vectors) == want
+        assert template.text(want) == "".join(algebra_text(template.algebra(v)) + "\n"
+                                              for v in vectors)
         assert "lines" not in vars(template)
 
 
