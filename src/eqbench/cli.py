@@ -242,24 +242,14 @@ def _write_cache(path: Path, serve):
         raise
 
 
-#: lines (or items made into lines) written in one write
+#: lines written in one write
 _BATCH = 512
 
 
-def _write_lines(lines):
-    """Write each batch of ``_BATCH`` of ``lines`` to stdout, each line ending
-    in a newline; the lines already made are written when making the next
-    one raises."""
-    batch = []
-    try:
-        for line in lines:
-            batch.append(line)
-            if len(batch) == _BATCH:
-                done, batch = batch, []
-                _sys.stdout.write("\n".join(done) + "\n")
-    finally:
-        if batch:
-            _sys.stdout.write("\n".join(batch) + "\n")
+def _write_lines(lines: list):
+    """Write ``lines`` to stdout, each ending in a newline, ``_BATCH`` per write."""
+    for i in range(0, len(lines), _BATCH):
+        _sys.stdout.write("\n".join(lines[i:i + _BATCH]) + "\n")
 
 
 def cmd_enumerate(args) -> int:

@@ -50,9 +50,9 @@ from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
 from .axioms import AxiomSystem, system_ops
 from .models import (
-    DEFAULT_SIZE_LIMIT,
     FiniteAlgebra,
     ResourceLimitError,
+    _check_size,
     _vectors,
     compile_check,
     shape_template,
@@ -200,7 +200,7 @@ def semantic_consequence(sys: AxiomSystem, cand: Equation, max_size: int,
     """Refuted with the first countermodel in enumeration order at the
     smallest size, or HoldsUpTo(max_size) when no model of size <= max_size
     violates ``cand``, decided as the consequence sets decide it."""
-    _check_size(max_size, allow_large)
+    _check_size(max_size, allow_large, "max_size")
     pool = {}
     k = _refuting_size(sys, cand, max_size, pool, max_nodes)
     if k is None:
@@ -214,15 +214,6 @@ def semantic_consequence(sys: AxiomSystem, cand: Equation, max_size: int,
         v = next(_vectors(sys, k, ops, cand, max_nodes))
     witness = compile_check(cand, k, ops, names)(v)
     return Refuted(shape_template(k, ops, names).algebra(v), tuple(sorted(witness.items())))
-
-
-def _check_size(max_size: int, allow_large: bool):
-    if max_size < 1:
-        raise ValueError("max_size must be >= 1")
-    if max_size > DEFAULT_SIZE_LIMIT and not allow_large:
-        raise ResourceLimitError(
-            f"max_size {max_size} exceeds the default limit of {DEFAULT_SIZE_LIMIT}; "
-            "pass allow_large to override")
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +256,7 @@ def consequence_set(sys: AxiomSystem, space: Optional[CandidateSpace] = None,
                     model_size: int = 2, allow_large: bool = False) -> tuple:
     """Candidates holding in every model of ``sys`` up to ``model_size``,
     i.e. the bounded proxy for the system's deductive strength."""
-    _check_size(model_size, allow_large)
+    _check_size(model_size, allow_large, "max_size")
     pool = {}
     return tuple(eq for eq in candidate_identities(space or CandidateSpace())
                  if _refuting_size(sys, eq, model_size, pool) is None)
@@ -387,10 +378,8 @@ class _Proof:
             side = pos[j]
             sibling = parent.right if side == 0 else parent.left
             refl = self.add("reflexivity", (), Equation(sibling, sibling))
-            lhs_from = _subterm_at(t_from, pos[:j])
-            lhs_to = _subterm_at(t_to, pos[:j])
             premises = (cur, refl) if side == 0 else (refl, cur)
-            cur = self.add("congruence", premises, Equation(lhs_from, lhs_to))
+            cur = self.add("congruence", premises, Equation(parent, _subterm_at(t_to, pos[:j])))
         return cur
 
 

@@ -10,11 +10,11 @@ countermodels.
 
 Enumeration fills table cells in a fixed order (tables in canonical operation
 order, row-major, then constants), so the emitted stream is in lexicographic
-order of the serialized (tables, constants) bundle.  The search core yields
-entry vectors (cells, then constants); an algebra is built only for a caller
-that asks for one.  Its set-up, the plan (``_plan``), depends only on the
+order of the serialized (tables, constants) bundle.  A model is an entry
+vector (cells, then constants); an algebra is built only for a caller that
+asks for one.  Its set-up, the plan (``_plan``), depends only on the
 system, size and table order, and is built once and shared by the searches of
-that layout.  Each search (``_vectors``) fills a vector of its own, the slots
+that layout.  Each search (``_blocks``) fills a vector of its own, the slots
 and then the carrier's values, which the plan's entries index.  The fill
 order fixes the last slot each check reads, and the check is tested when that
 slot is written.  A ground instance of an axiom of depth <= 1 equates two
@@ -25,12 +25,18 @@ roots, and a failed pair rules out one value of the constant.  Other axioms
 are compiled and tested whole.  A candidate's check joins a copy of one
 slot's test, so the search emits only the models that violate it and the plan
 is never changed.  An enumeration stops at the untested tail, the slots after
-the last tested one: every value of the tail's free slots gives a model, so
-the search hands the tail to one ``itertools.product`` in its own order, a
-raw count adds up n**k per arrival there without building a vector, and raw
-record lines are written leaf by leaf (``ShapeTemplate.write_blocks``), each
-entry's digits as one column, without one either.  The same writer takes the
-vectors of a run up to isomorphism as leaves of one model each.
+the last tested one: every value of the tail's k free slots gives a model.
+
+Every reader of a search takes it as one stream, ``(k, got, leaves)``
+(``_leaves``): the live leaf vectors the search reaches, each standing for
+the n**k models its free slots give, and where each entry of those models
+is read, from a slot of a product tuple or from the leaf.  ``_expand`` alone
+builds entry vectors from it, in the walk's order; a count adds n**k per
+leaf without building one; and record lines are written leaf by leaf
+(``ShapeTemplate.write_blocks``), each entry's digits as one column, without
+one either.  A walk with a candidate writes every slot, so each of its
+leaves is one model, and a run up to isomorphism (``_models``) is the same
+stream again, with each vector the filter keeps as a leaf of one model.
 
 Both line formats are defined once, by the shape template of an
 algebra's size, tables and constant names: one ``%`` format writes the
@@ -288,16 +294,19 @@ def _ordered_ops(sys: AxiomSystem, opts: EnumOptions) -> tuple:
     return tuple(op for op in OP_ORDER if op in wanted)
 
 
-#: the most plans kept, the oldest dropped first; rank over all 15 built-ins builds 105
-_PLAN_LIMIT = 128
-_plans: dict = {}  # (id(system), size, table order) -> (system, holding its id; plan)
+def _getter(got) -> Callable:
+    """A getter of the items ``got`` of a sequence, as a sequence: an
+    itemgetter of one item returns the item itself."""
+    if len(got) > 1:
+        return itemgetter(*got)
+    return itemgetter(slice(got[0], got[0] + 1) if got else slice(0))
 
 
+# rank over all 15 built-ins builds 105 plans
+@lru_cache(maxsize=128)
 def _plan(sys: AxiomSystem, n: int, ops: tuple) -> Optional[tuple]:
-    """The set-up all searches of ``sys`` at size ``n`` over ``ops`` share; None: no model."""
-    key = (id(sys), n, ops)
-    if key in _plans:
-        return _plans[key][1]
+    """The set-up all searches of ``sys`` at size ``n`` over ``ops`` share,
+    the 128 last used kept; None: no model."""
     n2 = n * n
     names = tuple(sorted(sys.constants))
     base, slot_of = _layout(n, ops, names)
@@ -362,9 +371,6 @@ def _plan(sys: AxiomSystem, n: int, ops: tuple) -> Optional[tuple]:
         tests[s], below = (below, pairs.get(s, ()), checks.get(s, ())), s
     tail = below + 1 if below < total else 0  # the untested slots after the last tested one
 
-    def getter(got):  # a getter of one item returns it, not a tuple
-        return itemgetter(*got) if len(got) > 1 else itemgetter(slice(got[0], got[0] + 1))
-
     def runs_ending_at(cut):  # each run ends at a tested slot, at ``cut`` and before a free one
         runs, start = [None] * total, 0  # (start, stop, blank, getter) at its first and last slot
         for s in range(total):
@@ -372,7 +378,7 @@ def _plan(sys: AxiomSystem, n: int, ops: tuple) -> Optional[tuple]:
                 start = s + 1
             elif s in (cut, total - 1) or roots[s + 1] == s + 1 or tests[s] is not None:
                 got = roots[start:s + 1]
-                runs[start] = runs[s] = start, s + 1, [-1] * len(got), getter(got)
+                runs[start] = runs[s] = start, s + 1, [-1] * len(got), _getter(got)
                 start = s + 1
         return runs
 
@@ -380,13 +386,10 @@ def _plan(sys: AxiomSystem, n: int, ops: tuple) -> Optional[tuple]:
     # before the search's vector, and every other entry reads what it reaches
     at = {s: i for i, s in enumerate(t for t in range(tail, total) if roots[t] == t)}
     got = tuple(at.get(r, len(at) + r) for r in roots[:total])
-    leaf = tail, len(at), got, getter(got) if tail < total else None
-    if len(_plans) == _PLAN_LIMIT:
-        del _plans[next(iter(_plans))]
-    _plans[key] = sys, None if unsat else (  # the runs, then those split at each table's end
+    return None if unsat else (  # the runs, then those split at each table's end
         total, names, last_read, tests, at_start, runs_ending_at(-1),
-        {cut: runs_ending_at(cut) for cut in (base[op] + n2 - 1 for op in ops)}, leaf)
-    return _plans[key][1]
+        {cut: runs_ending_at(cut) for cut in (base[op] + n2 - 1 for op in ops)},
+        (tail, len(at), got))
 
 
 def _vectors(sys: AxiomSystem, n: int, ops: tuple, cand: Optional[Equation] = None,
@@ -395,42 +398,52 @@ def _vectors(sys: AxiomSystem, n: int, ops: tuple, cand: Optional[Equation] = No
     each row-major, then the constants' values) of the models of ``sys`` of
     size ``n`` over the tables ``ops``, in fill order; with ``cand``, of those
     on which it fails; with ``max_nodes``, ResourceLimitError once more nodes
-    are counted.  The models below each leaf of ``_blocks``: its slots, or,
-    where the leaf is the plan's untested tail with k free slots, the n**k
-    vectors that every value of those slots gives, in the product's order,
-    which is the walk's order."""
-    def blocks():  # a generator, so that a missing table raises only once it is read
-        leaves = _blocks(sys, n, ops, cand, max_nodes)
-        plan = _plan(sys, n, ops) if cand is None and max_nodes is None else None
-        if plan is None or plan[-1][3] is None:  # each leaf a model, its slots all written
-            for cells in leaves:
-                yield (tuple(cells[:-n]),)
-            return
-        _, k, _, get = plan[-1]
-        for cells in leaves:
-            yield map(get, map(add, product(range(n), repeat=k), repeat(tuple(cells))))
-
-    return chain.from_iterable(blocks())
+    are counted.  The vectors ``_expand`` builds of the search's ``_leaves``."""
+    return _expand(n, *_leaves(sys, n, ops, cand, max_nodes))
 
 
-def _blocks(sys: AxiomSystem, n: int, ops: tuple, cand: Optional[Equation] = None,
+def _leaves(sys: AxiomSystem, n: int, ops: tuple, cand: Optional[Equation] = None,
+            max_nodes: Optional[int] = None) -> tuple:
+    """(k, got, leaves) of a search, what every reader of one takes: the
+    live leaf vectors of ``_blocks``, each standing for the n**k models its
+    k free slots give, and where each entry of those models is read.  Entry
+    i of the j-th model below a leaf is slot got[i] of the j-th product
+    tuple of k values (the last counted up fastest) if got[i] < k, else entry
+    got[i] - k of the leaf's vector.  A walk with ``cand`` or ``max_nodes``
+    writes every slot, so each leaf is one model, its slots in order."""
+    plan = _plan(sys, n, ops)
+    if plan is None:  # no model
+        return 0, (), iter(())
+    *search, (tail, k, got) = plan
+    if cand is not None or max_nodes is not None:  # slot by slot to the last
+        tail, k, got = search[0], 0, range(search[0])
+    return k, got, _blocks(search, n, ops, tail, cand, max_nodes)
+
+
+def _expand(n: int, k: int, got, leaves) -> Iterator[tuple]:
+    """The entry vectors of the models below each of ``leaves``, read as
+    ``_leaves`` says, in the product's order, which is the walk's order."""
+    get = _getter(got)
+    if not k:  # one model per leaf
+        return map(get, map(tuple, leaves))
+    return chain.from_iterable(
+        map(get, map(add, product(range(n), repeat=k), repeat(tuple(cells)))) for cells in leaves)
+
+
+def _blocks(plan: list, n: int, ops: tuple, tail: int, cand: Optional[Equation] = None,
             max_nodes: Optional[int] = None) -> Iterator[list]:
-    """The search behind ``_vectors``: at each leaf it reaches, its vector
-    (the slots, then the carrier's values), live, so it is read before the
-    next leaf.  A search runs its layout's shared ``_plan`` on a vector and
-    masks of its own, and ``cand``'s check joins a copy of one slot's test.
-    With ``cand`` or ``max_nodes`` it walks slot by slot, and each leaf is a
+    """The search behind ``_leaves``, on ``plan``, a ``_plan`` without its
+    leaf: at each leaf it reaches, its vector (the slots, then the carrier's
+    values), live, so it is read before the next leaf.  A search runs its
+    layout's shared plan on a vector and masks of its own, and ``cand``'s
+    check joins a copy of one slot's test.  It writes the slots before
+    ``tail``: with ``cand`` or ``max_nodes`` every slot, and each leaf is a
     model.  An enumeration (neither) stops at the plan's untested tail, the
     slots after the last one with a test: no check reads them, so every value
     of its free slots (its forced ones copy the entries they reach) gives a
     model, and the leaf stands for the block of them."""
-    plan = _plan(sys, n, ops)
-    if plan is None:
-        return
-    total, names, last_read, tests, at_start, runs, split, (tail, *_) = plan
+    total, names, last_read, tests, at_start, runs, split = plan
     cells = [-1] * total + list(range(n))  # the slots, then the values entries name
-    if cand is not None or max_nodes is not None:  # slot by slot to the last
-        tail = total
     if cand is not None:  # its check runs first in a copy of its last slot's test
         check = compile_check(cand, n, ops, names)
         cut = last_read(operations_of_equation(cand), variables_of_equation(cand))
@@ -510,29 +523,39 @@ def enumerate_vectors(sys: AxiomSystem, n: int, opts: Optional[EnumOptions] = No
 
     With ``up_to_iso`` only the canonically least member of each isomorphism
     class is yielded.  Raises ResourceLimitError at once if ``n`` exceeds the
-    default size limit without ``allow_large``, and while iterating once
-    ``max_results`` is surpassed.
+    default size limit without ``allow_large``, MissingTableError at once if
+    an axiom needs a table the options leave out, and ResourceLimitError
+    while iterating once ``max_results`` is surpassed.
     """
     opts = opts or EnumOptions()
-    ops = _enumerated_ops(sys, n, opts)
-    vectors = _vectors(sys, n, ops)
-    if opts.up_to_iso:  # the table has n! rows, so it is built only here
-        vectors = filter(partial(_is_least, _relabeling_table(n, len(ops), len(sys.constants))),
-                         vectors)
+    vectors = _expand(n, *_models(sys, n, opts))
     if opts.max_results is not None:
         vectors = _capped(vectors, opts.max_results)
     return vectors
 
 
-def _enumerated_ops(sys: AxiomSystem, n: int, opts: EnumOptions) -> tuple:
-    """The table order of an enumeration of size ``n``; raises on a size it refuses."""
+def _check_size(n: int, allow_large: bool, name: str = "size"):
+    """Raise on a model size ``n``, the argument ``name``, that is below 1,
+    or above the default limit without ``allow_large``."""
     if n < 1:
-        raise ValueError("size must be >= 1")
-    if n > DEFAULT_SIZE_LIMIT and not opts.allow_large:
+        raise ValueError(f"{name} must be >= 1")
+    if n > DEFAULT_SIZE_LIMIT and not allow_large:
         raise ResourceLimitError(
-            f"size {n} exceeds the default limit of {DEFAULT_SIZE_LIMIT}; "
+            f"{name} {n} exceeds the default limit of {DEFAULT_SIZE_LIMIT}; "
             "pass allow_large to override")
-    return _ordered_ops(sys, opts)
+
+
+def _models(sys: AxiomSystem, n: int, opts: EnumOptions) -> tuple:
+    """(k, got, leaves) of an enumeration of size ``n``, as ``_leaves`` gives
+    them; raises on a size it refuses.  Up to isomorphism each vector the
+    filter keeps is a leaf of one model, its entries in order."""
+    _check_size(n, opts.allow_large)
+    ops = _ordered_ops(sys, opts)
+    k, got, leaves = _leaves(sys, n, ops)
+    if not opts.up_to_iso:
+        return k, got, leaves
+    table = _relabeling_table(n, len(ops), len(sys.constants))  # n! rows, so built only here
+    return 0, range(len(got)), filter(partial(_is_least, table), _expand(n, k, got, leaves))
 
 
 def _capped(vectors: Iterator[tuple], cap: int) -> Iterator[tuple]:
@@ -551,24 +574,17 @@ def record_blocks(sys: AxiomSystem, n: int, opts: Optional[EnumOptions], batch: 
                   ) -> Iterator[str]:
     """The record lines of all the models ``enumerate_vectors`` yields,
     ``max_results`` aside, at most ``batch`` at a time.  A shape with
-    ``digits`` is written by ``ShapeTemplate.write_blocks``: a raw run leaf
-    by leaf of the search, with no entry vector per model, and a run up to
-    isomorphism with each of its vectors as a leaf of one model.  Any other
-    shape's lines come from ``format``."""
+    ``digits`` is written by ``ShapeTemplate.write_blocks`` from the leaves
+    of the enumeration, with no entry vector per model; any other shape's
+    lines come from ``format`` over the vectors ``_expand`` builds."""
     opts = (opts or EnumOptions())._replace(max_results=None)
-    ops = _enumerated_ops(sys, n, opts)
+    k, got, leaves = _models(sys, n, opts)
     template = models_template(sys, n, opts)
-    if not template.digits:
-        vectors, line = enumerate_vectors(sys, n, opts), template.format + "\n"
-        return ("".join(map(line.__mod__, cut))
-                for cut in iter(lambda: list(islice(vectors, batch)), []))
-    if opts.up_to_iso:  # the filter reads vectors: each is a leaf, its entries in order
-        leaves, k, got = enumerate_vectors(sys, n, opts), 0, range(len(template._zeros[1]))
-    elif (plan := _plan(sys, n, ops)) is None:  # no model
-        return iter(())
-    else:
-        leaves, (_, k, got, _) = _blocks(sys, n, ops), plan[-1]
-    return map(bytearray.decode, template.write_blocks(leaves, got, k, batch))
+    if template.digits:
+        return map(bytearray.decode, template.write_blocks(leaves, got, k, batch))
+    vectors, line = _expand(n, k, got, leaves), template.format + "\n"
+    return ("".join(map(line.__mod__, cut))
+            for cut in iter(lambda: list(islice(vectors, batch)), []))
 
 
 def models_template(sys: AxiomSystem, n: int, opts: Optional[EnumOptions] = None
@@ -587,18 +603,13 @@ def enumerate_models(sys: AxiomSystem, n: int, opts: Optional[EnumOptions] = Non
 
 def count_models(sys: AxiomSystem, n: int, up_to_iso: bool = False,
                  opts: Optional[EnumOptions] = None) -> int:
-    """How many vectors ``enumerate_vectors`` yields, raising as it does.
-    Without ``up_to_iso`` no vector is built: each block of the search adds
-    n**k, where k is the number of free slots in its layout's untested tail."""
+    """How many vectors ``enumerate_vectors`` yields, raising as it does: each
+    leaf of the enumeration adds the n**k models below it, so a raw count
+    builds no vector, and one up to isomorphism adds 1 per vector kept."""
     opts = (opts or EnumOptions())._replace(up_to_iso=up_to_iso)
-    if up_to_iso:
-        return sum(1 for _ in enumerate_vectors(sys, n, opts))
-    ops = _enumerated_ops(sys, n, opts)
-    plan = _plan(sys, n, ops)
-    each = n ** plan[-1][1] if plan else 0
-    cap = opts.max_results
-    count = 0
-    for _ in _blocks(sys, n, ops):
+    k, _, leaves = _models(sys, n, opts)
+    each, cap, count = n ** k, opts.max_results, 0
+    for _ in leaves:
         count += each
         if cap is not None and count > cap:
             past_max_results(cap)
@@ -788,17 +799,16 @@ class ShapeTemplate(namedtuple("ShapeTemplate", "size ops names")):
     def write_blocks(self, leaves, got, k: int, batch: int) -> Iterator[bytearray]:
         """The record lines, in bytes, of the models below each leaf vector of
         a search (its slots, then the carrier's values), for a shape with
-        ``digits``, each chunk read before the next is made.  Entry i of the
-        j-th model below a leaf holds slot got[i] of the j-th product tuple
-        of k values (the last counted up fastest) if got[i] < k, else entry
-        got[i] - k of the leaf's vector; so an entry vector is a leaf of one
-        model, with k = 0 and ``got`` its entries in order.  A chunk has at most ``batch`` lines:
-        the first n**m models of one leaf after another, as many leaves as
-        fit, or of one leaf n**m models at a time.  Each fixed entry's column
-        is one strided slice assignment to the chunk's line per leaf, each
-        line is repeated n**m times, and each free slot's column is then one
-        assignment more: the last m slots repeat the same digits in every
-        chunk, and each other one is rewritten only where its value changes."""
+        ``digits``, each chunk read before the next is made: ``got`` and
+        ``k`` say where each entry is read, as for ``_leaves``, so an entry
+        vector is a leaf of one model, with k = 0 and ``got`` its entries in
+        order.  A chunk has at most ``batch`` lines: the first n**m models of
+        one leaf after another, as many leaves as fit, or of one leaf n**m
+        models at a time.  Each fixed entry's column is one strided slice
+        assignment to the chunk's line per leaf, each line is repeated n**m
+        times, and each free slot's column is then one assignment more: the
+        last m slots repeat the same digits in every chunk, and each other one
+        is rewritten only where its value changes."""
         n, total = self.size, len(got)
         line, offsets = self._zeros
         line, step, each, m = bytearray(line), len(line), n ** k, k

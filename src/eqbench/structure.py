@@ -146,8 +146,10 @@ class TableReports(dict):
         return report
 
     def answer(self, n: int, ops: tuple, cells, render):
-        """``render(classify_cells(n, ops, cells, self))``, rendered once per
-        size, ``ops`` object, table reports and coincidence while kept."""
+        """``render`` of the report of the algebra of size ``n`` with the
+        tables ``ops`` whose entry vector is ``cells``, as ``classify_structure``
+        gives it, rendered once per size, ``ops`` object, table reports and
+        coincidence while kept."""
         found, coincide = self._classified(n, ops, cells)
         key = (n, id(ops), *map(id, found), *coincide)
         kept = self.answers.get(key)
@@ -249,13 +251,7 @@ def _op_report(comm_w, assoc_w, latin_w, ids) -> OpReport:
 def classify_structure(alg: FiniteAlgebra) -> StructureReport:
     """Aggregate report; operations without a table get a None entry and the
     coincidence flag is only computed when all three tables are present."""
-    return classify_cells(alg.size, alg.ops, alg.cells, TableReports())
-
-
-def classify_cells(n: int, ops: tuple, cells, reports: TableReports) -> StructureReport:
-    """``classify_structure`` of the algebra of size ``n`` with the tables
-    ``ops`` whose entry vector is ``cells``, its tables' reports from ``reports``."""
-    return _report(n, ops, *reports._classified(n, ops, cells))
+    return _report(alg.size, alg.ops, *TableReports()._classified(alg.size, alg.ops, alg.cells))
 
 
 def _report(n: int, ops: tuple, found: list, coincide: tuple) -> StructureReport:

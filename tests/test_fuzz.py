@@ -513,7 +513,7 @@ def test_raw_records_match_record_line_over_enumerate_models(batch, tmp_path, ca
         formats = {"records": [record_line(a) + "\n" for a in algebras],
                    "text": [algebra_text(a) + "\n" for a in algebras]}
         want = formats["records"]
-        plan = models._plan(sys_, n, models._enumerated_ops(sys_, n, opts))
+        plan = models._plan(sys_, n, models._ordered_ops(sys_, opts))
         k = plan[-1][1] if plan else 0
         argv = ["enumerate", "--system", sys_.name, "--size", str(n),
                 *(["--ops", ",".join(op.value for op in table_ops)] if table_ops else [])]

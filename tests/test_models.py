@@ -368,15 +368,15 @@ def test_an_abandoned_search_leaves_its_layout_as_a_fresh_process_finds_it():
 
 
 def test_plan_memo_keeps_at_most_its_bound():
-    systems = [make_system(f"s{i}", [parse_equation("ab = ba")])
-               for i in range(models._PLAN_LIMIT + 10)]
+    assert models._plan.cache_info().maxsize == 128
+    systems = [make_system(f"s{i}", [parse_equation("ab = ba")]) for i in range(138)]
     for sys_ in systems:
         for n in (1, 2):
             assert list(_vectors(sys_, n, (Op.PROD,)))
-            assert len(models._plans) <= models._PLAN_LIMIT
-    assert (id(systems[-1]), 2, (Op.PROD,)) in models._plans
-    # a plan holds its system, so an id in the memo is never another system's
-    assert all(id(kept) == key[0] for key, (kept, _) in models._plans.items())
+            assert models._plan.cache_info().currsize <= 128
+    hits = models._plan.cache_info().hits
+    assert models._plan(systems[-1], 2, (Op.PROD,)) is not None
+    assert models._plan.cache_info().hits == hits + 1  # the last plan is kept
 
 
 # ---------------------------------------------------------------------------
@@ -402,20 +402,35 @@ def _nineteen():
 
 
 def test_an_enumeration_tail_streams_as_the_walk_slot_by_slot():
-    # every table order of the 19 systems, the canonical one of the others
+    # every table order of the 19 systems, the canonical one of the others;
+    # over a canonical order, where the walk ends within the cap, the count
+    # and the record lines of the enumeration, raw and (at sizes 1 and 2) up
+    # to isomorphism, which all read the one leaf stream, are the walk's
     layouts = [(sys_, ops) for _, sys_ in _nineteen() for ops in itertools.permutations(
         op for op in OP_ORDER if op in system_ops(sys_))]
     layouts += [(sys_, (Op.PROD, Op.RDIV)) for sys_ in TAIL_SYSTEMS]
     layouts.append((empty_system(), (Op.PROD,)))  # at size 1 a getter of one item
-    tails = set()
+    tails, compared = set(), 0
     for sys_, ops in layouts:
         for n in (1, 2, 3):
             cap = 3_000 if n == 3 else None
             plan = models._plan(sys_, n, ops)
             if plan is not None:
                 tails.add((plan[-1][0] == 0, plan[-1][0] == plan[0], plan[-1][1] == 0))
-            assert list(itertools.islice(_vectors(sys_, n, ops), cap)) == \
-                list(itertools.islice(_vectors(sys_, n, ops, None, 10**9), cap))
+            walk = list(itertools.islice(_vectors(sys_, n, ops, None, 10**9), cap))
+            assert list(itertools.islice(_vectors(sys_, n, ops), cap)) == walk
+            if ops != tuple(op for op in OP_ORDER if op in ops) or len(walk) == cap:
+                continue
+            table = models._relabeling_table(n, len(ops), len(sys_.constants))
+            for up_to_iso in (False, True) if n < 3 else (False,):
+                opts = EnumOptions(up_to_iso=up_to_iso, ops=frozenset(ops))
+                vectors = [v for v in walk if not up_to_iso or models._is_least(table, v)]
+                line = models.models_template(sys_, n, opts).format + "\n"
+                assert count_models(sys_, n, up_to_iso, opts) == len(vectors), (sys_.name, n)
+                assert "".join(models.record_blocks(sys_, n, opts, 512)) == \
+                    "".join(map(line.__mod__, vectors)), (sys_.name, n, up_to_iso)
+                compared += 1
+    assert compared == 101
     # tails at the first slot, in the middle with and without free slots, and none
     assert {(True, False, False), (False, False, False), (False, False, True),
             (False, True, True)} <= tails

@@ -15,6 +15,8 @@ from eqbench.consequence import (
     Proved,
     Refuted,
     Unknown,
+    consequence_set,
+    semantic_consequence,
 )
 from eqbench.models import (
     EnumOptions,
@@ -23,6 +25,7 @@ from eqbench.models import (
     ShapeTemplate,
     count_models,
     enumerate_vectors,
+    record_blocks,
 )
 from eqbench.power import PowerReport, RankReport
 from eqbench.structure import StructureReport, classify_structure
@@ -125,6 +128,34 @@ def test_invalid_fields_are_refused(build):
     with pytest.raises(ValueError) as exc:
         eval(build)
     assert str(exc.value) == INVALID[build]
+
+
+#: each call on a model size that is refused, as source -> (the error it
+#: raises, its message); the consequence engine names its size max_size,
+#: model_size too
+SIZES = {
+    "enumerate_vectors(C0, 0)": (ValueError, "size must be >= 1"),
+    "count_models(C0, 4)": (
+        ResourceLimitError, "size 4 exceeds the default limit of 3; pass allow_large to override"),
+    "record_blocks(C0, 4, None, 512)": (
+        ResourceLimitError, "size 4 exceeds the default limit of 3; pass allow_large to override"),
+    "semantic_consequence(C0, EQ, 0)": (ValueError, "max_size must be >= 1"),
+    "semantic_consequence(C0, EQ, 4)": (
+        ResourceLimitError,
+        "max_size 4 exceeds the default limit of 3; pass allow_large to override"),
+    "consequence_set(C0, model_size=0)": (ValueError, "max_size must be >= 1"),
+    "consequence_set(C0, model_size=4)": (
+        ResourceLimitError,
+        "max_size 4 exceeds the default limit of 3; pass allow_large to override"),
+}
+
+
+@pytest.mark.parametrize("call", SIZES)
+def test_refused_sizes_say_why(call):
+    error, message = SIZES[call]
+    with pytest.raises(error) as exc:
+        eval(call, globals(), {"C0": builtin_system("C0")})
+    assert str(exc.value) == message
 
 
 def test_methods_and_cached_properties_survive():
