@@ -22,7 +22,8 @@ candidate is decided by the first step that settles it:
 1. a candidate whose two sides are the same term holds, before any search;
 2. the countermodels already found for the system in the same call (the
    pool, empty for ``semantic_consequence``);
-3. a countermodel search at sizes 1 and 2;
+3. a countermodel search at size 2, since a one-element algebra satisfies
+   every identity;
 4. at size 3, a short try of ``derive`` and then of the search, each within
    ``SHORT_TRY_NODES`` nodes, then ``derive`` and the search in full;
 5. a search at each size from 4 up to the bound.
@@ -175,7 +176,8 @@ def _refuting_size(sys: AxiomSystem, cand: Equation, max_size: int, pool: dict,
     # search in 0.03 s, and canonical order passes the 5,000,000-node cap
     wanted = system_ops(sys) | needed
     ops = tuple(sorted((op for op in OP_ORDER if op in wanted), key=lambda op: op not in needed))
-    for k in range(1, max_size + 1):
+    # the one-element algebra satisfies every identity, so no search at size 1
+    for k in range(2, max_size + 1):
         v = None
         if k == 3:
             if isinstance(derive(sys, cand, _SHORT_DERIVE), Proved):

@@ -162,13 +162,17 @@ def test_derive_reproduces_golden_records():
         assert json.dumps(row, separators=(",", ":")) == line
 
 
-def test_refute_reproduces_golden_records():
-    # the 840 questions of the benchmark's query workload, seeds 1-3, each
-    # with the sha256 of its verdict record; regenerate with
-    # tests/golden/make_refute_records.py only when the search's output
-    # should change
+def _refute_golden_rows():
+    """The 840 questions of the benchmark's query workload, seeds 1-3 in
+    order, each with the sha256 of its verdict record."""
     golden = Path(__file__).parent / "golden" / "refute_records.jsonl"
-    rows = [json.loads(line) for line in golden.read_text(encoding="utf-8").splitlines()]
+    return [json.loads(line) for line in golden.read_text(encoding="utf-8").splitlines()]
+
+
+def test_refute_reproduces_golden_records():
+    # regenerate with tests/golden/make_refute_records.py only when the
+    # search's output should change
+    rows = _refute_golden_rows()
     assert len(rows) == 3 * 280
     for row in rows:
         verdict = semantic_consequence(builtin_system(row["system"]),
@@ -332,6 +336,27 @@ def _record_calls(monkeypatch):
     return calls
 
 
+def test_no_search_at_size_1(monkeypatch):
+    # the one-element algebra satisfies every identity, so neither the
+    # refutes of the query workload's seed 1 nor the default consequence set
+    # of any built-in searches at size 1
+    calls = _record_calls(monkeypatch)
+    for row in _refute_golden_rows()[:280]:
+        semantic_consequence(builtin_system(row["system"]), parse_equation(row["identity"]),
+                             row["bound"])
+    for name in BUILTIN_NAMES:
+        consequence_set(builtin_system(name))
+    assert {call[3] for call in calls if call[0] == "search"} == {2}
+
+
+def test_size_bound_1_holds_without_a_search(monkeypatch):
+    calls = _record_calls(monkeypatch)
+    for name, text in (("none", "ab = ba"), ("C1", "ab = a"), ("Mx_neutral", "a = e")):
+        sys_ = empty_system() if name == "none" else builtin_system(name)
+        assert semantic_consequence(sys_, parse_equation(text), 1) == HoldsUpTo(1)
+    assert calls == []
+
+
 def test_equal_sides_hold_before_any_search(monkeypatch):
     calls = _record_calls(monkeypatch)
     same = [eq for eq in candidate_identities(CandidateSpace()) if eq.lhs == eq.rhs]
@@ -403,8 +428,8 @@ def test_pool_compiles_each_candidate_once_per_layout(monkeypatch):
 
 
 @pytest.mark.parametrize("text,layouts", [
-    ("ab = a", {(1, "prod,ldiv,rdiv"), (2, "prod,ldiv,rdiv")}),
-    ("a:b = a", {(1, "ldiv,prod,rdiv"), (2, "ldiv,prod,rdiv"), (2, "prod,ldiv,rdiv")}),
+    ("ab = a", {(2, "prod,ldiv,rdiv")}),
+    ("a:b = a", {(2, "ldiv,prod,rdiv"), (2, "prod,ldiv,rdiv")}),
 ])
 def test_refuted_candidate_compiles_once_per_layout(monkeypatch, text, layouts):
     # the searches and the witness get the candidate's check from
@@ -424,10 +449,10 @@ def test_refuted_candidate_compiles_once_per_layout(monkeypatch, text, layouts):
 
 
 @pytest.mark.parametrize("text,searches", [
-    ("ab = a", [(1, "prod,ldiv,rdiv"), (2, "prod,ldiv,rdiv")]),
+    ("ab = a", [(2, "prod,ldiv,rdiv")]),
     # the candidate's table is read first, then the countermodel is found again
     # in canonical order
-    ("a:b = a", [(1, "ldiv,prod,rdiv"), (2, "ldiv,prod,rdiv"), (2, "prod,ldiv,rdiv")]),
+    ("a:b = a", [(2, "ldiv,prod,rdiv"), (2, "prod,ldiv,rdiv")]),
 ])
 def test_refute_searches_again_only_in_another_table_order(monkeypatch, text, searches):
     sys_, cand = builtin_system("C1"), parse_equation(text)

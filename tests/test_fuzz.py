@@ -26,6 +26,9 @@ search alone.
 Random record files of several shapes check that ``check`` and
 ``classify``, which read each record as an entry vector, answer as
 ``find_violation`` and the oracle's scans do.
+Random equations with the systems' constants hold, by the oracle's
+evaluator, on the one-element tables of every system here and of every
+built-in, which is why the countermodel search starts at size 2.
 """
 
 import itertools
@@ -626,3 +629,27 @@ def test_check_and_classify_on_entry_vectors_match_the_scans(tmp_path, capsys, m
     # tables and number of constants, read by both readers
     assert codes == {0, 1, 2} and missed >= len(cases) // 2
     assert [set(column) for column in zip(*shapes)] == [{1, 2, 3}, {0, 1, 2, 3}, {0, 1, 2}]
+
+
+# ---------------------------------------------------------------------------
+# the one-element algebra
+
+def test_one_element_algebras_satisfy_every_identity():
+    # why the countermodel search starts at size 2: on one element every
+    # table is [[0]] and every constant is 0, so both sides of any equation
+    # evaluate to 0; each system thus has its one-element model, in which
+    # no candidate fails
+    rng = random.Random(1935)
+    tables = {op: ((0,),) for op in OP_ORDER}
+    systems = [builtin_system(name) for name in BUILTIN_NAMES]
+    systems += [sys_ for sys_, _, _ in _fuzz_systems()]
+    named = 0
+    for sys_ in systems:
+        constants = sorted(sys_.constants)
+        fixed = dict.fromkeys(constants, 0)
+        assert all(o_satisfies(tables, eq, 1, fixed) for eq in sys_.equations), sys_
+        for _ in range(10):
+            eq = _random_equation(rng, OP_ORDER, constants)
+            named += bool(set(constants) & set(variables_of_equation(eq)))
+            assert o_satisfies(tables, eq, 1, fixed), (sys_, eq)
+    assert len(systems) > 100 and named >= 100
